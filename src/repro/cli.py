@@ -350,6 +350,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_serve(args) -> int:
     import signal
+    import threading
 
     from .serve import TimingServer
     from .testing.faults import FAULT_PLAN_ENV, install_plan_from_env
@@ -387,12 +388,19 @@ def _cmd_serve(args) -> int:
         print(f"loaded {name}: {info['devices']} devices, "
               f"{info['stages']} stages")
 
+    drains: list[threading.Thread] = []
+
     def _graceful(signum, frame):
-        # Runs on the main thread between serve_forever's polls; stop()
-        # drains in-flight requests and reaps the worker pool, then
-        # serve_forever returns and we exit 0 -- a clean drain, which is
-        # what a container supervisor sending SIGTERM wants.
-        server.stop()
+        # Runs on the main thread, inside serve_forever.  stop() waits for
+        # serve_forever to return, so it must run elsewhere: start the
+        # drain on a helper thread and return at once.  stop() drains
+        # in-flight requests, ends serve_forever, and reaps the worker
+        # pool; we then exit 0 -- a clean drain, which is what a
+        # container supervisor sending SIGTERM wants.
+        if not drains:
+            drain = threading.Thread(target=server.stop, name="repro-drain")
+            drains.append(drain)
+            drain.start()
 
     signal.signal(signal.SIGTERM, _graceful)
     signal.signal(signal.SIGINT, _graceful)
@@ -401,6 +409,10 @@ def _cmd_serve(args) -> int:
           f"max in-flight: {args.max_inflight})",
           flush=True)
     server.serve_forever()
+    # The drain thread is past shutdown() here but may still be closing
+    # the journal and reaping the pool; let it finish before exiting.
+    for drain in drains:
+        drain.join()
     server.stop()
     return 0
 

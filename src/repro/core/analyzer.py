@@ -155,6 +155,20 @@ class AnalysisResult:
         return "\n".join(lines)
 
 
+@dataclass
+class _LastSweep:
+    """The combinational graph and arrival map of the last complete run.
+
+    ``inputs`` is everything else the sweep depended on: sources, input
+    slew, slope model, error policy and quarantined stages.  The next run
+    reuses graph and map only if its own inputs are equal.
+    """
+
+    graph: TimingGraph
+    arrivals: ArrivalMap
+    inputs: tuple
+
+
 class TimingAnalyzer:
     """Static timing analyzer for transistor-level nMOS netlists.
 
@@ -205,6 +219,19 @@ class TimingAnalyzer:
         ``"best-effort"`` additionally downgrades recoverable flow/timing
         errors (e.g. a netlist with no primary inputs) to diagnostics on
         a degraded result.
+
+    Incremental re-timing
+    ---------------------
+    A combinational run keeps its timing graph and arrival map.  After
+    :meth:`notify_changed`, the next run swaps the re-extracted stages'
+    arcs into that graph (:meth:`TimingGraph.update`) and re-sweeps only
+    downstream of them (``propagate(previous=...)``), which gives the
+    report a from-scratch analysis would.  It builds and sweeps in full
+    whenever an arc's structure changed, or the sources, input slew,
+    error policy or quarantined stages differ from the kept run; a run
+    cut short by its deadline is never kept.  The trace counts
+    incremental sweeps as ``propagate_incremental`` and the nodes they
+    re-swept as ``propagate_recomputed``.
 
     Thread safety
     -------------
@@ -271,6 +298,7 @@ class TimingAnalyzer:
         self.workers = self.calculator.workers
         self.tech = self.calculator.tech
         self.clock = clock or self._default_clock()
+        self._last_sweep: _LastSweep | None = None
         self.trace.incr("devices", len(netlist.devices))
         self.trace.incr("stages", len(self.stage_graph))
 
@@ -544,6 +572,7 @@ class TimingAnalyzer:
         clone.clock = (
             scenario.clock if scenario.clock is not None else self.clock
         )
+        clone._last_sweep = None
         return clone
 
     def _coverage(self) -> robust.Coverage:
@@ -798,9 +827,24 @@ class TimingAnalyzer:
             sources[(name, RISE)] = t
             sources[(name, FALL)] = t
 
+        # Taken, not read: if this run raises, no half-updated state stays.
+        last, self._last_sweep = self._last_sweep, None
         with self.trace.timer("extract"):
             arcs = self.calculator.all_arcs(active_clocks=None)
-            graph = TimingGraph.build(arcs)
+            inputs = (
+                tuple(sources.items()),
+                input_slew,
+                self.calculator.slope,
+                self.on_error,
+                frozenset(self.calculator.quarantined),
+            )
+            changed = None
+            if last is not None and last.inputs == inputs:
+                changed = last.graph.update(arcs)
+            if changed is None:
+                graph, previous = TimingGraph.build(arcs), None
+            else:
+                graph, previous = last.graph, last.arrivals
         with self.trace.timer("propagate"):
             if sources:
                 arrivals = propagate(
@@ -808,11 +852,18 @@ class TimingAnalyzer:
                     sources,
                     self.calculator.slope,
                     source_slew=input_slew,
+                    previous=previous,
+                    changed=changed or (),
                 )
             else:
                 # Only reachable under best-effort (no drive points were
                 # downgraded to a diagnostic above): nothing to propagate.
                 arrivals = ArrivalMap()
+        if sources and not self.calculator.deadline_skipped:
+            self._last_sweep = _LastSweep(graph, arrivals, inputs)
+        if arrivals.recomputed is not None:
+            self.trace.incr("propagate_incremental")
+            self.trace.incr("propagate_recomputed", arrivals.recomputed)
 
         endpoints = set(self.netlist.outputs) or None
         with self.trace.timer("paths"):

@@ -51,8 +51,9 @@ tuples back (never the netlist, never dataclass pickles).  Stage batches
 are **sized by estimated device work** (device count squared, a proxy
 for the superlinear path-search cost) so one oversized stage -- e.g. a
 barrel-shifter matrix -- cannot serialize a whole chunk of small ones.
-``workers="auto"`` applies a measured **crossover heuristic**: serial
-below :data:`PARALLEL_MIN_DEVICES` (pool already warm) or
+``workers="auto"`` applies a measured **crossover heuristic** to the
+work the arc cache cannot serve (member devices of the uncached stages):
+serial below :data:`PARALLEL_MIN_DEVICES` (pool already warm) or
 :data:`PARALLEL_COLD_MIN_DEVICES` (pool must cold-start), and always
 serial on a single-CPU host.  :func:`shutdown_pool` (registered
 ``atexit``) tears the pool down idempotently; a timed-out or broken pool
@@ -110,14 +111,15 @@ _CROSSING = 0.5
 
 #: Crossover floor when the persistent pool is already **warm** for this
 #: calculator (or the executor is thread-based, which has no startup
-#: cost): below this device count ``all_arcs`` extracts serially --
-#: dispatch and result traffic would dominate the work.  An explicit
-#: ``parallel=True`` overrides it.
+#: cost): when the stages a sweep must extract hold fewer member devices
+#: than this, ``all_arcs`` extracts serially -- dispatch and result
+#: traffic would dominate the work.  An explicit ``parallel=True``
+#: overrides it.
 PARALLEL_MIN_DEVICES = 1024
 
 #: Crossover floor when the pool would have to **cold-start** (fork the
 #: workers first): the fork of a large parent heap costs tens of
-#: milliseconds, so the netlist must be big enough to amortize it.
+#: milliseconds, so the uncached work must be big enough to amortize it.
 PARALLEL_COLD_MIN_DEVICES = 4096
 
 #: ``workers`` spec selecting the measured crossover heuristic: the pool
@@ -152,14 +154,17 @@ def parallel_crossover(
 ) -> bool:
     """True if a pooled sweep is expected to beat a serial one.
 
-    The heuristic that replaced the bare ``PARALLEL_MIN_DEVICES`` test:
-    parallel extraction pays only on a multi-CPU host, and only when the
-    netlist is large enough to amortize the pool traffic -- a higher bar
-    (:data:`PARALLEL_COLD_MIN_DEVICES`) when the workers would have to
-    be forked first than when the pool is already warm
-    (:data:`PARALLEL_MIN_DEVICES`).  Thresholds were measured with
-    ``repro.bench.perf``; an explicit ``parallel=`` argument to
-    :meth:`StageDelayCalculator.all_arcs` bypasses this entirely.
+    ``device_count`` is the work the sweep has left: the member devices
+    of the stages the arc cache cannot serve.  A cold sweep weighs the
+    whole design; a sweep after a one-device edit weighs the one or two
+    stages the edit invalidated.  Parallel extraction pays only on a
+    multi-CPU host, and only when that work is large enough to amortize
+    the pool traffic -- a higher bar (:data:`PARALLEL_COLD_MIN_DEVICES`)
+    when the workers would have to be forked first than when the pool is
+    already warm (:data:`PARALLEL_MIN_DEVICES`).  Thresholds were
+    measured with ``repro.bench.perf``; an explicit ``parallel=``
+    argument to :meth:`StageDelayCalculator.all_arcs` bypasses this
+    entirely.
     """
     cpus = available_cpus() if cpus is None else cpus
     if cpus < 2:
@@ -569,7 +574,9 @@ class StageDelayCalculator:
         arc cache of every stage owning one of those nodes -- the exact
         footprint a width change has on the timing model.  Everything else
         stays cached, which is what makes the optimizer's re-analysis
-        loop cheap.
+        loop cheap.  The device-fact map stays too: none of its facts
+        (terminals, flow, one-hot group, boundary) depends on a device's
+        width or length.
         """
         nodes: set[str] = set()
         for name in device_names:
@@ -577,7 +584,6 @@ class StageDelayCalculator:
             nodes.update((dev.gate, dev.source, dev.drain))
         for node in nodes:
             self._cap_cache.pop(node, None)
-        self._device_facts = None
         # Any forked worker snapshot predates this edit; the persistent
         # pool rebinds (re-forks) on the next pooled sweep.
         self._pool_epoch += 1
@@ -705,9 +711,13 @@ class StageDelayCalculator:
         ``parallel``/``workers`` control the fan-out: ``parallel=None``
         (default) consults the :func:`parallel_crossover` heuristic --
         the pool runs only when the resolved width exceeds 1, the host
-        has more than one CPU, and the netlist clears the warm or cold
-        device floor (:data:`PARALLEL_MIN_DEVICES` /
-        :data:`PARALLEL_COLD_MIN_DEVICES`).  ``workers`` may be an int
+        has more than one CPU, and the member devices of the stages the
+        arc cache cannot serve clear the warm or cold floor
+        (:data:`PARALLEL_MIN_DEVICES` /
+        :data:`PARALLEL_COLD_MIN_DEVICES`).  A cold sweep weighs every
+        device; the sweep after a small edit weighs only the invalidated
+        stages, so it stays serial instead of re-forking the pool for
+        them.  ``workers`` may be an int
         or ``"auto"`` (width from :func:`auto_workers`);
         ``parallel=True`` forces the pool (bumping the width to at least
         2); ``parallel=False`` forces the serial path.  The decision is
@@ -729,7 +739,11 @@ class StageDelayCalculator:
         resolved = auto_workers() if spec == WORKERS_AUTO else spec
         if parallel is None:
             use_pool = resolved > 1 and parallel_crossover(
-                len(self.netlist.devices), pool_warm=self._pool_is_warm()
+                sum(
+                    len(self.graph[index].device_names)
+                    for index in self._uncached(active_clocks, open_gates)
+                ),
+                pool_warm=self._pool_is_warm(),
             )
         else:
             use_pool = bool(parallel)
@@ -823,6 +837,18 @@ class StageDelayCalculator:
             return "process"
         return "thread"
 
+    def _uncached(
+        self, active_clocks: frozenset[str] | None, open_gates: frozenset[str]
+    ) -> list[int]:
+        """Indices of the non-quarantined stages the arc cache cannot serve."""
+        cache = self._arc_cache
+        return [
+            stage.index
+            for stage in self.graph
+            if stage.index not in self.quarantined
+            and (stage.index, active_clocks, open_gates) not in cache
+        ]
+
     def _pool_is_warm(self) -> bool:
         """True if a pooled sweep would start with zero setup cost.
 
@@ -886,13 +912,7 @@ class StageDelayCalculator:
         down (terminating live workers) before propagating, so Ctrl-C
         never leaves orphans.
         """
-        missing = [
-            stage.index
-            for stage in self.graph
-            if stage.index not in self.quarantined
-            and (stage.index, active_clocks, open_gates)
-            not in self._arc_cache
-        ]
+        missing = self._uncached(active_clocks, open_gates)
         if len(missing) < 2:
             return
         kind = self._executor_kind()
@@ -1680,9 +1700,10 @@ class StageDelayCalculator:
 
         Maps each device name to ``(gate, group, source, out_of_source,
         out_of_drain, source_is_boundary, drain_is_boundary)``.  Built once
-        per calculator (and rebuilt after :meth:`invalidate_devices`), so
-        the flow/one-hot/boundary lookups run once per device instead of
-        once per (stage, transition, edge).
+        per calculator and kept across :meth:`invalidate_devices` (no fact
+        depends on a device's dimensions), so the flow/one-hot/boundary
+        lookups run once per device instead of once per (stage,
+        transition, edge).
         """
         facts = self._device_facts
         if facts is None:

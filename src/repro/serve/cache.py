@@ -1,13 +1,15 @@
 """Content-addressed result cache for the serve daemon.
 
-A timing report is a pure function of (netlist text, technology,
+A timing report is a pure function of (netlist content, technology,
 analysis options), so the daemon caches reports under the SHA-256 of
-exactly that triple.  Two layers:
+exactly that triple.  Reports are held as their encoded JSON text: a
+reply splices the text in unchanged, so a hit costs no encode, and a
+report takes less than half the memory it takes as Python dicts.  Two layers:
 
-* an in-memory LRU (bounded, per-process) serving warm queries with a
-  dict lookup;
+* an in-memory LRU bounded by a byte budget (the summed length of the
+  texts it holds; per process) serving warm queries with a dict lookup;
 * an optional on-disk layer (``<dir>/<sha>.json``) surviving restarts,
-  written with :func:`repro.core.report.atomic_write_json` -- a SIGKILL
+  written with :func:`repro.core.report.atomic_write_text` -- a SIGKILL
   mid-write leaves either the old file or no file, never a torn one.
 
 A disk entry that fails to parse (however it got damaged) is treated as
@@ -31,22 +33,29 @@ import os
 import threading
 from collections import OrderedDict
 
-from ..core.report import REPORT_SCHEMA_VERSION, atomic_write_json
+from ..core.report import REPORT_SCHEMA_VERSION, atomic_write_text
 
 __all__ = ["ResultCache", "cache_key"]
 
+#: Default byte budget of the in-memory layer: about twenty-five reports
+#: of a 20k-device design, or thousands of small ones.
+DEFAULT_MEMORY_BUDGET = 16 * 1024 * 1024
 
-def cache_key(sim_text: str, tech_json: dict, options: dict) -> str:
+
+def cache_key(design: str, tech_json: dict, options: dict) -> str:
     """SHA-256 over the canonical (netlist, technology, options) triple.
 
-    ``options`` must be JSON-serializable; keys are sorted so dict
-    construction order never changes the hash.  The report schema
-    version is part of the hashed state: bumping the schema retires
-    every previously cached payload at once.
+    ``design`` identifies the netlist content: a ``.sim`` text, or (as
+    the daemon passes it) the SHA-256 of the text a design was loaded
+    from, with its edits since then in ``options``.  ``options`` must be
+    JSON-serializable; keys are sorted so dict construction order never
+    changes the hash.  The report schema version is part of the hashed
+    state: bumping the schema retires every previously cached payload at
+    once.
     """
     blob = json.dumps(
         {
-            "sim": sim_text,
+            "sim": design,
             "tech": tech_json,
             "options": options,
             "schema": REPORT_SCHEMA_VERSION,
@@ -57,21 +66,26 @@ def cache_key(sim_text: str, tech_json: dict, options: dict) -> str:
 
 
 class ResultCache:
-    """Bounded LRU of report payloads, optionally persisted to a directory.
+    """LRU of report texts within a byte budget, optionally on disk too.
 
     Thread-safe: the daemon's handler threads share one instance.
-    ``memory_limit`` bounds only the in-memory layer; the disk layer
-    keeps everything it is given (reports are a few kilobytes each).
+    ``memory_budget`` bounds the summed length of the texts the memory
+    layer holds; the least recently used go first, and a text longer
+    than the whole budget is not held in memory at all.  The disk layer
+    keeps everything it is given.
     """
 
     def __init__(
-        self, directory: str | os.PathLike | None = None, memory_limit: int = 256
+        self,
+        directory: str | os.PathLike | None = None,
+        memory_budget: int = DEFAULT_MEMORY_BUDGET,
     ) -> None:
-        if memory_limit < 1:
-            raise ValueError("memory_limit must be >= 1")
+        if memory_budget < 1:
+            raise ValueError("memory_budget must be >= 1")
         self.directory = os.fspath(directory) if directory is not None else None
-        self.memory_limit = memory_limit
-        self._memory: OrderedDict[str, dict] = OrderedDict()
+        self.memory_budget = memory_budget
+        self._memory: OrderedDict[str, str] = OrderedDict()
+        self._memory_bytes = 0
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -85,48 +99,53 @@ class ResultCache:
         assert self.directory is not None
         return os.path.join(self.directory, key + ".json")
 
-    def get(self, key: str) -> dict | None:
-        """The cached payload for ``key``, or None."""
+    def get(self, key: str) -> str | None:
+        """The cached report text for ``key``, or None."""
         with self._lock:
-            payload = self._memory.get(key)
-            if payload is not None:
+            text = self._memory.get(key)
+            if text is not None:
                 self._memory.move_to_end(key)
                 self.hits += 1
-                return payload
+                return text
         if self.directory is not None:
-            try:
-                with open(self._path(key)) as handle:
-                    payload = json.load(handle)
-            except FileNotFoundError:
-                payload = None
-            except (OSError, ValueError):
-                # Damaged entry: drop it and report a miss.
-                try:
-                    os.unlink(self._path(key))
-                except OSError:
-                    pass
+            text = self._read_disk(key)
+            if text is not None:
                 with self._lock:
-                    self.corrupt_evictions += 1
-                payload = None
-            if payload is not None and self._stale(payload):
-                # Written by a different schema version (keys normally
-                # prevent this; a hand-copied or legacy entry cannot).
-                try:
-                    os.unlink(self._path(key))
-                except OSError:
-                    pass
-                with self._lock:
-                    self.stale_evictions += 1
-                payload = None
-            if payload is not None:
-                with self._lock:
-                    self._remember(key, payload)
+                    self._remember(key, text)
                     self.hits += 1
                     self.disk_hits += 1
-                return payload
+                return text
         with self._lock:
             self.misses += 1
         return None
+
+    def _read_disk(self, key: str) -> str | None:
+        """A disk entry's text; damaged or stale-schema entries are dropped."""
+        try:
+            with open(self._path(key)) as handle:
+                text = handle.read().rstrip("\n")
+            payload = json.loads(text)
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError):
+            self._unlink(key)
+            with self._lock:
+                self.corrupt_evictions += 1
+            return None
+        if self._stale(payload):
+            # Written by a different schema version (keys normally
+            # prevent this; a hand-copied or legacy entry cannot).
+            self._unlink(key)
+            with self._lock:
+                self.stale_evictions += 1
+            return None
+        return text
+
+    def _unlink(self, key: str) -> None:
+        try:
+            os.unlink(self._path(key))
+        except OSError:
+            pass
 
     @staticmethod
     def _stale(payload) -> bool:
@@ -136,21 +155,25 @@ class ResultCache:
         version = payload.get("schema_version")
         return version is not None and version != REPORT_SCHEMA_VERSION
 
-    def put(self, key: str, payload: dict) -> None:
-        """Store ``payload`` in memory and (if configured) on disk."""
+    def put(self, key: str, text: str) -> None:
+        """Store a report's JSON text in memory and (if configured) on disk."""
         with self._lock:
-            self._remember(key, payload)
+            self._remember(key, text)
         if self.directory is not None:
             try:
-                atomic_write_json(self._path(key), payload)
+                atomic_write_text(self._path(key), text + "\n")
             except OSError:
                 pass  # a read-only disk layer degrades to memory-only
 
-    def _remember(self, key: str, payload: dict) -> None:
-        self._memory[key] = payload
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.memory_limit:
-            self._memory.popitem(last=False)
+    def _remember(self, key: str, text: str) -> None:
+        held = self._memory.pop(key, None)
+        if held is not None:
+            self._memory_bytes -= len(held)
+        self._memory[key] = text
+        self._memory_bytes += len(text)
+        while self._memory_bytes > self.memory_budget:
+            _key, evicted = self._memory.popitem(last=False)
+            self._memory_bytes -= len(evicted)
 
     def stats(self) -> dict:
         """Hit/miss counters and sizes for ``/stats``."""
@@ -158,6 +181,7 @@ class ResultCache:
             total = self.hits + self.misses
             return {
                 "entries_memory": len(self._memory),
+                "bytes_memory": self._memory_bytes,
                 "hits": self.hits,
                 "misses": self.misses,
                 "disk_hits": self.disk_hits,

@@ -128,6 +128,9 @@ class TimingServer:
         self.httpd.daemon_threads = True
         self._thread: threading.Thread | None = None
         self._serving = False
+        #: Orders serve_forever() against stop(): a stop that lands before
+        #: serving begins must keep serving from ever beginning.
+        self._lifecycle_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -146,8 +149,15 @@ class TimingServer:
         return self
 
     def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`stop` is called."""
-        self._serving = True
+        """Serve on the calling thread until :meth:`stop` is called.
+
+        Returns at once if :meth:`stop` already ran (a SIGTERM can land
+        before serving starts).
+        """
+        with self._lifecycle_lock:
+            if self._draining.is_set():
+                return
+            self._serving = True
         self.httpd.serve_forever()
 
     def stop(self, drain_timeout: float = 10.0) -> None:
@@ -157,9 +167,10 @@ class TimingServer:
         called; requests already admitted get up to ``drain_timeout``
         seconds to finish.  Idempotent.
         """
-        if self._draining.is_set():
-            return
-        self._draining.set()
+        with self._lifecycle_lock:
+            if self._draining.is_set():
+                return
+            self._draining.set()
         deadline = time.monotonic() + drain_timeout
         with self._inflight_lock:
             while self._inflight:
@@ -456,8 +467,12 @@ def _bind_handler(server: TimingServer):
         # ------------------------------------------------------------
         # Plumbing.
         # ------------------------------------------------------------
-        def _reply(self, status: int, payload: dict, headers=()) -> None:
-            body = (json.dumps(payload) + "\n").encode()
+        def _reply(self, status: int, payload: dict | str,
+                   headers=()) -> None:
+            """Send ``payload``: a dict to encode, or encoded JSON text."""
+            if not isinstance(payload, str):
+                payload = json.dumps(payload)
+            body = (payload + "\n").encode()
             try:
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
@@ -658,17 +673,19 @@ def _bind_handler(server: TimingServer):
 
         def _analysis_reply(self, session, report, cached, epoch, started,
                             deduplicated=None):
-            payload = {
+            """The reply envelope with the report's JSON text spliced in
+            as its last member, so the report is never re-encoded."""
+            envelope = {
                 "ok": True,
                 "design": session.name,
                 "epoch": epoch,
                 "cached": cached,
                 "elapsed_ms": (time.perf_counter() - started) * 1e3,
-                "report": report,
             }
             if deduplicated is not None:
-                payload["deduplicated"] = deduplicated
-            return payload, 200, ()
+                envelope["deduplicated"] = deduplicated
+            text = json.dumps(envelope)[:-1] + ', "report": ' + report + "}"
+            return text, 200, ()
 
         # ------------------------------------------------------------
         def do_GET(self):  # noqa: N802 - stdlib naming

@@ -13,10 +13,12 @@ cannot give.
 
 Reports are memoized two ways:
 
-* JSON payloads in the shared content-addressed
-  :class:`~repro.serve.cache.ResultCache` -- keyed on the hash of
-  (current ``.sim`` text, technology, options), so a delta automatically
-  misses and an edit toggled back automatically hits again;
+* JSON report texts in the shared content-addressed
+  :class:`~repro.serve.cache.ResultCache` -- keyed on the hash of (the
+  SHA-256 of the ``.sim`` text the design was loaded from, the exact
+  ``w``/``l`` floats that differ from their load values, technology,
+  options), so a delta automatically misses, an edit toggled back
+  automatically hits again, and no key ever re-serializes the design;
 * live :class:`~repro.core.AnalysisResult` objects (a tiny per-session
   LRU) so ``explain`` can reuse the arrival maps of the analysis it is
   explaining instead of re-running it.
@@ -44,10 +46,18 @@ duplicate returns the original epoch and payload instead of re-editing,
 so an at-least-once retrying client (:class:`~repro.serve.client.
 TimingClient`) never double-applies an edit -- including across a crash,
 because the key window rides the journal and snapshot.
+
+Reports leave a session as their encoded JSON text, the form the cache
+holds them in, so the daemon splices them into replies without
+re-encoding.  The idempotency window holds each applied request's epoch
+and cache key, not a second copy of its report: a retry is answered from
+the cache, so every report text lives in one byte-bounded place.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -107,14 +117,20 @@ class DesignSession:
         self.last_coverage: str | None = None
         #: The .sim text as loaded, kept verbatim: snapshots persist this
         #: plus exact edited dimensions, because re-serializing through
-        #: sim_dumps rounds floats to 12 significant digits.
+        #: sim_dumps rounds floats to 12 significant digits.  Cache keys
+        #: use its digest plus the same exact dimensions, for the same
+        #: reason.
         self._load_sim_text = sim_text
-        self._sim_text: str | None = sim_text
+        self._load_digest = hashlib.sha256(sim_text.encode()).hexdigest()
         self._results: OrderedDict[str, object] = OrderedDict()
         #: Exact final w/l of every device edited since load.
         self._edited_dims: dict[str, dict] = {}
-        #: request_id -> (epoch, payload | None), oldest first.
-        self._applied_requests: OrderedDict[str, tuple[int, dict | None]] = (
+        #: Load-time w/l of every device edited since load.
+        self._load_dims: dict[str, dict] = {}
+        #: request_id -> (epoch, cache key of its report | None), oldest
+        #: first.  None after a restart: the window is rebuilt from the
+        #: journal, which records no reports.
+        self._applied_requests: OrderedDict[str, tuple[int, str | None]] = (
             OrderedDict()
         )
 
@@ -146,10 +162,12 @@ class DesignSession:
             analyzer.on_error, analyzer.calculator.on_error = old
 
     def current_sim_text(self) -> str:
-        """The design's current ``.sim`` text (tracks deltas)."""
-        if self._sim_text is None:
-            self._sim_text = sim_dumps(self.netlist)
-        return self._sim_text
+        """The design's current ``.sim`` text: the load text verbatim
+        until the first delta, then a fresh ``sim_dumps`` of the edited
+        netlist (which rounds widths to 12 significant digits)."""
+        if not self._edited_dims:
+            return self._load_sim_text
+        return sim_dumps(self.netlist)
 
     def _resolve_corner(self, corner) -> Technology | None:
         """Per-request technology override: a corner shorthand name or a
@@ -184,10 +202,38 @@ class DesignSession:
             # the same corner share an entry and a custom point never
             # collides with the base tech.
             "corner": None if corner is None else corner.to_dict(),
+            # Exact floats (JSON writes their repr): an edit of any size
+            # misses, an edit toggled back to the load value hits.
+            "dims": self._dims_changed(),
         }
         return cache_key(
-            self.current_sim_text(), self.netlist.tech.to_dict(), options
+            self._load_digest, self.netlist.tech.to_dict(), options
         )
+
+    def _dims_changed(self) -> list:
+        """``[device, {w?, l?}]`` for each dimension unlike its load value."""
+        changed = []
+        for name in sorted(self._edited_dims):
+            load = self._load_dims[name]
+            dims = {
+                dim: value
+                for dim, value in self._edited_dims[name].items()
+                if value != load[dim]
+            }
+            if dims:
+                changed.append([name, dims])
+        return changed
+
+    def _set_dims(self, name: str, dims: dict) -> None:
+        """Apply exact ``w``/``l`` floats to a device, remembering the
+        load-time values the first time the device is edited."""
+        dev = self.netlist.device(name)
+        self._load_dims.setdefault(name, {"w": dev.w, "l": dev.l})
+        edited = self._edited_dims.setdefault(name, {})
+        if "w" in dims:
+            dev.w = edited["w"] = float(dims["w"])
+        if "l" in dims:
+            dev.l = edited["l"] = float(dims["l"])
 
     @staticmethod
     def _cacheable(result) -> bool:
@@ -261,8 +307,8 @@ class DesignSession:
         deadline: float | None = None,
         corner=None,
         use_cache: bool = True,
-    ) -> tuple[dict, bool, int]:
-        """Full analysis; returns ``(report payload, cached, epoch)``.
+    ) -> tuple[str, bool, int]:
+        """Full analysis; returns ``(report JSON text, cached, epoch)``.
 
         The fast path holds only the read lock: hash the current design
         state, look the report up in the content-addressed cache.  On a
@@ -291,7 +337,7 @@ class DesignSession:
             _engine, result = self._run(
                 key, policy, input_arrivals, top_k, deadline, tech
             )
-            payload = result.to_json()
+            payload = json.dumps(result.to_json())
             if use_cache and self._cacheable(result):
                 self.cache.put(key, payload)
             return payload, False, self.epoch
@@ -383,24 +429,26 @@ class DesignSession:
         corner=None,
         use_cache: bool = True,
         request_id: str | None = None,
-    ) -> tuple[dict, bool, int, bool]:
+    ) -> tuple[str, bool, int, bool]:
         """Apply device edits and re-analyze incrementally.
 
         Each edit is ``{"device": name, "w": metres?, "l": metres?}``.
         The edits route through ``notify_changed``, so only the stages
         touching an edited device are re-extracted -- every other
-        stage's arcs stay cached in the engine.  Atomic: the write lock
+        stage's arcs stay cached in the engine, and the engine re-times
+        only downstream of the re-extracted arcs (see
+        ``TimingAnalyzer``, "Incremental re-timing").  Atomic: the write lock
         spans edit + re-analysis, so no client ever reads a half-edited
         design, and the returned epoch identifies the new state.
 
         ``request_id`` is a client-supplied idempotency key.  A key that
         already applied is *not* re-applied: the call returns the
-        original epoch (and the original payload, when this process
-        still remembers it) with the final ``deduplicated`` flag set, so
+        original epoch (and the original payload, while the result cache
+        still holds it) with the final ``deduplicated`` flag set, so
         an at-least-once retry never edits twice.  The edit and its key
         are journaled (when a journal is attached) before this returns.
 
-        Returns ``(payload, cached, epoch, deduplicated)``.
+        Returns ``(report JSON text, cached, epoch, deduplicated)``.
         """
         policy = self._policy_for(on_error)
         tech = self._resolve_corner(corner)
@@ -431,51 +479,44 @@ class DesignSession:
                 applied.append(record)
             changed: list[str] = []
             for record in applied:
-                dev = self.netlist.device(record["device"])
-                dims = self._edited_dims.setdefault(dev.name, {})
-                if "w" in record:
-                    dev.w = dims["w"] = record["w"]
-                if "l" in record:
-                    dev.l = dims["l"] = record["l"]
-                changed.append(dev.name)
+                self._set_dims(record["device"], record)
+                changed.append(record["device"])
             self.analyzer.notify_changed(changed)
             self.epoch += 1
             self.deltas += 1
-            self._sim_text = None
             self._results.clear()
-            if request_id is not None:
-                self._remember_request(request_id, self.epoch, None)
-            self._journal_delta(applied, request_id)
             key = self._key(policy, top_k, input_arrivals, tech)
+            if request_id is not None:
+                self._remember_request(request_id, self.epoch, key)
+            self._journal_delta(applied, request_id)
             if use_cache:
                 payload = self.cache.get(key)
                 if payload is not None:
-                    if request_id is not None:
-                        self._remember_request(request_id, self.epoch, payload)
                     return payload, True, self.epoch, False
             _engine, result = self._run(
                 key, policy, input_arrivals, top_k, deadline, tech
             )
-            payload = result.to_json()
+            payload = json.dumps(result.to_json())
             if use_cache and self._cacheable(result):
                 self.cache.put(key, payload)
-            if request_id is not None:
-                self._remember_request(request_id, self.epoch, payload)
             return payload, False, self.epoch, False
 
     def _replay_duplicate(
         self, request_id, policy, input_arrivals, top_k, deadline, tech
-    ) -> tuple[dict, bool, int, bool]:
+    ) -> tuple[str, bool, int, bool]:
         """Answer a retried delta without re-applying its edits.
 
-        Returns the payload produced when the key first applied when
-        this process still remembers it; after a crash the window is
-        rebuilt from the journal without payloads, so the answer is
-        recomputed against the current state (identical for the common
-        retry-the-last-edit case) under the recorded epoch.
+        Returns the payload produced when the key first applied while
+        the result cache still holds it (it is content-addressed, so the
+        entry is that payload exactly).  Otherwise -- evicted, never
+        cacheable, or a window rebuilt from the journal after a crash --
+        the answer is recomputed against the current state (identical
+        for the common retry-the-last-edit case) under the recorded
+        epoch.
         """
-        epoch, payload = self._applied_requests[request_id]
+        epoch, key = self._applied_requests[request_id]
         self.deduplicated += 1
+        payload = None if key is None else self.cache.get(key)
         if payload is not None:
             return payload, True, epoch, True
         key = self._key(policy, top_k, input_arrivals, tech)
@@ -485,16 +526,16 @@ class DesignSession:
             _engine, result = self._run(
                 key, policy, input_arrivals, top_k, deadline, tech
             )
-            payload = result.to_json()
+            payload = json.dumps(result.to_json())
             if self._cacheable(result):
                 self.cache.put(key, payload)
-        self._remember_request(request_id, epoch, payload)
+        self._remember_request(request_id, epoch, key)
         return payload, cached, epoch, True
 
     def _remember_request(
-        self, request_id: str, epoch: int, payload: dict | None
+        self, request_id: str, epoch: int, key: str | None
     ) -> None:
-        self._applied_requests[request_id] = (epoch, payload)
+        self._applied_requests[request_id] = (epoch, key)
         self._applied_requests.move_to_end(request_id)
         while len(self._applied_requests) > _REQUEST_WINDOW:
             self._applied_requests.popitem(last=False)
@@ -538,7 +579,7 @@ class DesignSession:
             "tech": self.netlist.tech.to_dict(),
             "requests": [
                 [rid, epoch]
-                for rid, (epoch, _payload) in self._applied_requests.items()
+                for rid, (epoch, _key) in self._applied_requests.items()
             ],
         }
 
@@ -557,17 +598,11 @@ class DesignSession:
         """
         changed: list[str] = []
         for name, dd in dims.items():
-            dev = self.netlist.device(name)
-            if "w" in dd:
-                dev.w = float(dd["w"])
-            if "l" in dd:
-                dev.l = float(dd["l"])
-            self._edited_dims[name] = dict(dd)
+            self._set_dims(name, dd)
             changed.append(name)
         if changed:
             self.analyzer.notify_changed(changed)
         self.epoch = epoch
-        self._sim_text = None
         self._results.clear()
         for rid, req_epoch in requests:
             self._remember_request(rid, req_epoch, None)

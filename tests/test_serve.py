@@ -24,7 +24,7 @@ import time
 
 import pytest
 
-from repro import __version__
+from repro import TimingAnalyzer, __version__
 from repro.circuits import inverter_chain, random_logic
 from repro.core import REPORT_SCHEMA_VERSION, validate_report
 from repro.netlist import sim_dumps, sim_loads
@@ -147,22 +147,22 @@ class TestResultCache:
         cache = ResultCache()
         key = cache_key("sim", {"vdd": 5.0}, {"top_k": 5})
         assert cache.get(key) is None
-        cache.put(key, {"x": 1})
-        assert cache.get(key) == {"x": 1}
+        cache.put(key, json.dumps({"x": 1}))
+        assert json.loads(cache.get(key)) == {"x": 1}
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == 0.5
 
     def test_disk_layer_survives_restart(self, tmp_path):
         key = cache_key("sim", {}, {})
-        ResultCache(tmp_path).put(key, {"x": 2})
+        ResultCache(tmp_path).put(key, json.dumps({"x": 2}))
         fresh = ResultCache(tmp_path)
-        assert fresh.get(key) == {"x": 2}
+        assert json.loads(fresh.get(key)) == {"x": 2}
         assert fresh.stats()["disk_hits"] == 1
 
     def test_corrupt_disk_entry_is_evicted(self, tmp_path):
         key = cache_key("sim", {}, {})
-        ResultCache(tmp_path).put(key, {"x": 3})
+        ResultCache(tmp_path).put(key, json.dumps({"x": 3}))
         [entry] = list(tmp_path.iterdir())
         entry.write_text("{ not json")
         fresh = ResultCache(tmp_path)
@@ -171,12 +171,14 @@ class TestResultCache:
         assert fresh.stats()["corrupt_evictions"] == 1
 
     def test_memory_lru_bound(self):
-        cache = ResultCache(memory_limit=2)
+        texts = [json.dumps({"i": i}) for i in range(3)]
+        # A byte budget that holds exactly two of the three reports.
+        cache = ResultCache(memory_budget=2 * len(texts[0]))
         keys = [cache_key("sim", {}, {"i": i}) for i in range(3)]
-        for i, key in enumerate(keys):
-            cache.put(key, {"i": i})
+        for key, text in zip(keys, texts):
+            cache.put(key, text)
         assert cache.get(keys[0]) is None  # evicted, no disk layer
-        assert cache.get(keys[2]) == {"i": 2}
+        assert json.loads(cache.get(keys[2])) == {"i": 2}
 
     def test_key_is_content_addressed(self):
         a = cache_key("sim a", {"vdd": 5.0}, {"top_k": 5})
@@ -201,7 +203,7 @@ class TestResultCache:
         # evicted on read, never served.
         key = cache_key("sim", {}, {})
         ResultCache(tmp_path).put(
-            key, {"schema_version": "0.0.1", "x": 4}
+            key, json.dumps({"schema_version": "0.0.1", "x": 4})
         )
         fresh = ResultCache(tmp_path)
         assert fresh.get(key) is None
@@ -211,9 +213,9 @@ class TestResultCache:
     def test_current_schema_disk_entry_is_served(self, tmp_path):
         key = cache_key("sim", {}, {})
         payload = {"schema_version": REPORT_SCHEMA_VERSION, "x": 5}
-        ResultCache(tmp_path).put(key, payload)
+        ResultCache(tmp_path).put(key, json.dumps(payload))
         fresh = ResultCache(tmp_path)
-        assert fresh.get(key) == payload
+        assert json.loads(fresh.get(key)) == payload
         assert fresh.stats()["stale_evictions"] == 0
 
 
@@ -225,7 +227,7 @@ class TestDesignSession:
         session = DesignSession("chain", chain_sim)
         payload, cached, epoch = session.analyze()
         assert cached is False and epoch == 0
-        validate_report(payload)
+        validate_report(json.loads(payload))
         payload2, cached2, _ = session.analyze()
         assert cached2 is True and payload2 == payload
 
@@ -238,13 +240,34 @@ class TestDesignSession:
             [{"device": device, "w": base_w * 1.2}]
         )
         assert cached is False and epoch == 1
-        validate_report(payload)
+        validate_report(json.loads(payload))
         # Toggling the edit back restores the original content hash:
         # the very first report comes straight out of the cache.
         _, cached_back, epoch_back, _dedup = session.delta(
             [{"device": device, "w": base_w}]
         )
         assert cached_back is True and epoch_back == 2
+
+    def test_delta_below_print_precision_misses(self):
+        # A .sim file writes widths at 12 significant digits; two widths
+        # that agree to 12 digits are still different designs, and the
+        # cache must not answer one with the other's report.
+        sim_text = sim_dumps(inverter_chain(4))
+        session = DesignSession("chain", sim_text)
+        session.analyze()
+        device = sorted(session.netlist.devices)[0]
+        w1 = session.netlist.device(device).w * 1.2
+        session.delta([{"device": device, "w": w1}])
+        w2 = w1 * (1 + 1e-13)
+        assert w2 != w1
+        payload, cached, epoch, _dedup = session.delta(
+            [{"device": device, "w": w2}]
+        )
+        assert cached is False and epoch == 2
+        net = sim_loads(sim_text, name="chain")
+        fresh = TimingAnalyzer(net)
+        net.device(device).w = w2
+        assert payload == json.dumps(fresh.analyze().to_json())
 
     def test_explain_reuses_memoized_analysis(self, chain_sim):
         session = DesignSession("chain", chain_sim)

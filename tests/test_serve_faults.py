@@ -293,6 +293,34 @@ class TestSigtermSubprocess:
                 proc.kill()
                 proc.wait(timeout=10)
 
+    def test_idle_daemon_exits_promptly(self, tmp_path):
+        # The SIGTERM handler only starts the drain; an idle daemon has
+        # nothing to wait for, so it must not sit out the drain timeout.
+        sim_path = tmp_path / "chain.sim"
+        sim_path.write_text(sim_dumps(inverter_chain(4)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(sim_path),
+             "--port", "0", "--no-journal"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=env, cwd=_REPO_ROOT,
+        )
+        try:
+            for _ in range(10):
+                if "listening on http://" in proc.stdout.readline():
+                    break
+            else:
+                pytest.fail("daemon printed no listen line")
+            sent = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            assert time.monotonic() - sent < 5.0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+
 
 # ----------------------------------------------------------------------
 # SIGKILL chaos: crash a real daemon at each durability fault site,
