@@ -316,8 +316,11 @@ def _find_races(
         ]
         if len(member_latches) < 2:
             continue
+        cut = calculator._cut_map(frozenset(clocks), frozenset()).get(
+            stage.index, frozenset()
+        )
         edges = calculator._pass_edges(
-            stage, calculator.graph.devices_of(stage), RISE, frozenset(clocks)
+            stage, calculator.graph.devices_of(stage), RISE, cut
         )
         adjacency: dict[str, set[str]] = {}
         for a, b, _r, _n in edges:

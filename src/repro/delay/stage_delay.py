@@ -24,14 +24,25 @@ sub-network, with TV's value-independent worst-casing:
 The RC tree metric is selected by ``model``: ``"elmore"`` (default),
 ``"lumped"``, ``"pr-min"``, or ``"pr-max"`` (ablation experiment R-T6).
 Path enumeration is exact up to ``max_paths`` simple paths per arc; if the
-cap is hit the arc is marked ``truncated`` (never silently).
+cap is hit the arc is marked ``truncated`` (never silently).  The search
+is a depth-first walk in adjacency order, so which paths a truncated arc
+saw -- and hence its delay -- follows that order.
 
 Throughput
 ----------
+A sweep (``active_clocks``, ``open_gates``) reaches a stage's arcs only
+through one thing: which member devices
+:meth:`StageDelayCalculator._clock_open` cuts.  The calculator works
+those cut sets out once per sweep, from the gate loads of the inactive
+clocks and the open gates, and keys the arc cache on ``(stage index, cut
+set)``.  A stage whose cut set repeats across sweeps -- most stages of a
+two-phase design cut nothing in its phi1, phi2 and all-transparent
+sweeps alike -- is extracted once.
+
 Extraction is organized around a per-stage :class:`StageContext` that
 computes the conduction/pass edge lists and their adjacency maps **once**
-per ``(stage, active_clocks, open_gates)`` and shares them across all six
-arc-family extractors; adjacency entries pre-resolve the per-device
+per ``(stage, cut set)`` and shares them across all six arc-family
+extractors; adjacency entries pre-resolve the per-device
 lookups (gate, one-hot group, flow legality, boundary-ness) so the
 path-search inner loops run on plain tuples.  Because stages are
 channel-connected components they are independent, and
@@ -134,6 +145,9 @@ _CHUNKS_PER_WORKER = 4
 #: Cap on ``workers="auto"`` resolution; beyond this the result-decode
 #: loop in the parent becomes the bottleneck.
 _AUTO_WORKERS_CAP = 8
+
+#: The cut set of a stage the sweep cuts nothing in.
+_NO_CUTS: frozenset[str] = frozenset()
 
 
 def available_cpus() -> int:
@@ -259,22 +273,25 @@ class StageContext:
     """Shared per-stage extraction state.
 
     Holds everything the six arc-family extractors need about one
-    ``(stage, active_clocks, open_gates)`` combination, computed lazily and
-    exactly once: resolved member devices, conduction/pass edge lists per
-    transition, their adjacency maps (with per-hop device facts
-    pre-resolved), the pulled-up node table, and the device-name-to-gate
-    map.  Before this existed, every extractor rebuilt its own edge lists
-    and every path search rebuilt its own adjacency dict -- roughly 8 edge
-    builds and 10+ adjacency builds per stage per extraction.
+    ``(stage, cut set)`` combination, computed lazily and exactly once:
+    resolved member devices, conduction/pass edge lists per transition,
+    their adjacency maps (with per-hop device facts pre-resolved), and
+    the pulled-up node table.  Before this existed, every extractor
+    rebuilt its own edge lists and every path search rebuilt its own
+    adjacency dict -- roughly 8 edge builds and 10+ adjacency builds per
+    stage per extraction.
+
+    ``cut`` names the member devices the sweep cuts (see
+    :meth:`StageDelayCalculator._cut_map`).  It is the context's only
+    view of the sweep, so two sweeps that cut the same member devices
+    build the same context and extract the same arcs.
     """
 
     __slots__ = (
         "calc",
         "stage",
         "devices",
-        "active_clocks",
-        "open_gates",
-        "gate_of",
+        "cut",
         "_pass",
         "_cond",
         "_adj",
@@ -286,15 +303,12 @@ class StageContext:
         self,
         calc: "StageDelayCalculator",
         stage: Stage,
-        active_clocks: frozenset[str] | None,
-        open_gates: frozenset[str],
+        cut: frozenset[str],
     ):
         self.calc = calc
         self.stage = stage
         self.devices = calc.graph.devices_of(stage)
-        self.active_clocks = active_clocks
-        self.open_gates = open_gates
-        self.gate_of = {dev.name: dev.gate for dev in self.devices}
+        self.cut = cut
         self._pass: dict[str, list] = {}
         self._cond: dict[str, list] = {}
         self._adj: dict[tuple[str, str], dict] = {}
@@ -303,18 +317,14 @@ class StageContext:
 
     def clock_open(self, dev: Transistor) -> bool:
         """True if the device is cut in this context (see calculator)."""
-        return self.calc._clock_open(dev, self.active_clocks, self.open_gates)
+        return dev.name in self.cut
 
     def pass_edges(self, transition: str) -> list:
         """Pass-network edges for a transition (computed once)."""
         edges = self._pass.get(transition)
         if edges is None:
             edges = self.calc._pass_edges(
-                self.stage,
-                self.devices,
-                transition,
-                self.active_clocks,
-                self.open_gates,
+                self.stage, self.devices, transition, self.cut
             )
             self._pass[transition] = edges
         return edges
@@ -324,11 +334,7 @@ class StageContext:
         edges = self._cond.get(transition)
         if edges is None:
             edges = self.calc._conduction_edges(
-                self.stage,
-                self.devices,
-                transition,
-                self.active_clocks,
-                self.open_gates,
+                self.stage, self.devices, transition, self.cut
             )
             self._cond[transition] = edges
         return edges
@@ -464,7 +470,12 @@ class StageDelayCalculator:
         self.deadline_skipped: set[int] = set()
         self.deadline_diagnostics: list[robust.Diagnostic] = []
         self._cap_cache: dict[str, float] = {}
+        #: (stage index, cut set) -> merged arcs; see :meth:`_cut_map`.
         self._arc_cache: dict[tuple, list[StageArc]] = {}
+        #: (active_clocks, open_gates) -> {stage index: cut set} for the
+        #: stages that sweep cuts anything in.  Structural, like the
+        #: device facts: kept across edits, shared with retarget clones.
+        self._cut_maps: dict[tuple, dict[int, frozenset[str]]] = {}
         # name -> (gate, group, source, out_of_source, out_of_drain,
         #          source_is_boundary, drain_is_boundary); see
         # _device_fact_map.
@@ -502,8 +513,16 @@ class StageDelayCalculator:
         in the scenario under analysis -- qualified clocks derived from the
         phase (e.g. a word line ``dec AND phi2`` during phi1).  Devices they
         gate are cut exactly like inactive clocks.
+
+        The arcs depend on the sweep only through the member devices it
+        cuts (:meth:`_cut_map`), so they are cached per ``(stage.index,
+        cut set)``: another sweep that cuts the same devices is served
+        from the cache.
         """
-        cache_key = (stage.index, active_clocks, open_gates)
+        cut = self._cut_map(active_clocks, open_gates).get(
+            stage.index, _NO_CUTS
+        )
+        cache_key = (stage.index, cut)
         cached = self._arc_cache.get(cache_key)
         if cached is not None:
             return cached
@@ -514,7 +533,7 @@ class StageDelayCalculator:
             if evaluated is not None:
                 self._arc_cache[cache_key] = evaluated
                 return evaluated
-        ctx = StageContext(self, stage, active_clocks, open_gates)
+        ctx = StageContext(self, stage, cut)
         raw: list[StageArc] = []
         raw.extend(self._gate_arcs(ctx))
         raw.extend(self._clocked_switch_arcs(ctx))
@@ -607,9 +626,10 @@ class StageDelayCalculator:
         """A calculator evaluating the same structure at ``tech``.
 
         This is the MCMM re-evaluation hook: the clone shares the
-        netlist, the stage graph, and the (tech-independent) device-fact
-        map, so only the numeric delay terms -- resistances,
-        capacitances, k-factors -- are recomputed at the new corner.
+        netlist, the stage graph, the (tech-independent) device-fact map
+        and the per-sweep cut maps, so only the numeric delay terms --
+        resistances, capacitances, k-factors -- are recomputed at the new
+        corner.
         Delay caches (``_cap_cache``/``_arc_cache``) start empty because
         their contents are corner-specific.
 
@@ -643,6 +663,7 @@ class StageDelayCalculator:
         clone.quarantined = set(self.quarantined)
         clone.diagnostics = list(self.diagnostics)
         clone._device_facts = self._device_fact_map()
+        clone._cut_maps = self._cut_maps
         clone._pool_token = self._pool_token
         clone._pool_epoch = self._pool_epoch
         clone.parametric = self.parametric
@@ -766,6 +787,7 @@ class StageDelayCalculator:
         result: list[StageArc] = []
         expired = False
         skipped = 0
+        cut_map = self._cut_map(active_clocks, open_gates)
         for stage in self.graph:
             if (
                 stage.index in self.quarantined
@@ -773,7 +795,7 @@ class StageDelayCalculator:
             ):
                 continue
             cached = self._arc_cache.get(
-                (stage.index, active_clocks, open_gates)
+                (stage.index, cut_map.get(stage.index, _NO_CUTS))
             )
             if cached is not None:
                 # A cache hit costs nothing; serve it even past the
@@ -842,11 +864,12 @@ class StageDelayCalculator:
     ) -> list[int]:
         """Indices of the non-quarantined stages the arc cache cannot serve."""
         cache = self._arc_cache
+        cut_map = self._cut_map(active_clocks, open_gates)
         return [
             stage.index
             for stage in self.graph
             if stage.index not in self.quarantined
-            and (stage.index, active_clocks, open_gates) not in cache
+            and (stage.index, cut_map.get(stage.index, _NO_CUTS)) not in cache
         ]
 
     def _pool_is_warm(self) -> bool:
@@ -979,6 +1002,7 @@ class StageDelayCalculator:
             "extract_pool_reuses" if warm else "extract_pool_cold_starts"
         )
         run_token = _POOL.next_run_token()
+        cut_map = self._cut_map(active_clocks, open_gates)
         failed: list[list[int]] = []
         poisoned = False
         try:
@@ -1036,7 +1060,7 @@ class StageDelayCalculator:
                     continue
                 for index, wire_arcs in extracted:
                     self._arc_cache[
-                        (index, active_clocks, open_gates)
+                        (index, cut_map.get(index, _NO_CUTS))
                     ] = _arcs_from_wire(index, wire_arcs)
         except BaseException:
             _POOL.discard()
@@ -1098,6 +1122,43 @@ class StageDelayCalculator:
             and self.netlist.is_clock(dev.gate)
         )
 
+    def _cut_map(
+        self, active_clocks: frozenset[str] | None, open_gates: frozenset[str]
+    ) -> dict[int, frozenset[str]]:
+        """Stage index -> member devices the sweep cuts (:meth:`_clock_open`).
+
+        Stages that cut nothing are absent.  Every cut device is a gate
+        load of an open gate or of an inactive clock, so the map is
+        worked out once per sweep from those gate loads alone, and kept:
+        it is structural.  The combinational sweep ``(None, ∅)`` cuts
+        nothing and costs no work at all.
+        """
+        if active_clocks is None and not open_gates:
+            return {}
+        sweep = (active_clocks, open_gates)
+        cut_map = self._cut_maps.get(sweep)
+        if cut_map is None:
+            netlist = self.netlist
+            gates = set(open_gates)
+            if active_clocks is not None:
+                gates.update(
+                    clock for clock in netlist.clocks
+                    if clock not in active_clocks
+                )
+            stage_of = {
+                name: stage.index
+                for stage in self.graph
+                for name in stage.device_names
+            }
+            cut: dict[int, set[str]] = {}
+            for gate in gates:
+                for dev in netlist.iter_gate_loads(gate):
+                    if self._clock_open(dev, active_clocks, open_gates):
+                        cut.setdefault(stage_of[dev.name], set()).add(dev.name)
+            cut_map = {index: frozenset(names) for index, names in cut.items()}
+            self._cut_maps[sweep] = cut_map
+        return cut_map
+
     # ------------------------------------------------------------------
     # Arc families.
     # ------------------------------------------------------------------
@@ -1129,7 +1190,7 @@ class StageDelayCalculator:
             # each gate appearing on a discharge path, the worst path that
             # includes a device it gates.
             fall_by_gate = self._worst_fall_by_gate(
-                ctx, output, fall_edges, fall_adjacency
+                output, fall_edges, fall_adjacency
             )
             rise = self._rise_via_pullup(
                 ctx, output, pulled_up, rise_pass_edges, rise_adjacency
@@ -1160,32 +1221,89 @@ class StageDelayCalculator:
 
     def _worst_fall_by_gate(
         self,
-        ctx: StageContext,
         output: str,
         fall_edges: list[tuple[str, str, float, str]],
         adjacency: dict,
     ) -> dict[str, ArcTiming]:
         """Worst discharge path per triggering gate, in one enumeration.
 
-        Enumerates flow-consistent simple paths from ``output`` to gnd once,
-        and for every gate node appearing on a path keeps the
-        maximum-resistance path through one of its devices.  Equivalent to
-        running :meth:`_worst_path` with ``must_include`` per trigger, at a
-        fraction of the cost on wide stages.
+        Walks the one-hot-consistent simple paths from ``output`` to gnd
+        once, depth first in adjacency order, and for every gate node
+        appearing on a path keeps the maximum-resistance path through one
+        of its devices (the first such path on ties).  Equivalent to
+        running :meth:`_worst_path` with ``must_include`` per trigger, at
+        a fraction of the cost on wide stages.  The walk counts the
+        devices each gate has on the current path, so a path reaching gnd
+        costs one comparison per distinct gate on it, and is copied only
+        when it improves some gate's worst path.  After ``max_paths``
+        paths the walk stops and every timing is marked ``truncated``.
         """
-        found = self._enumerate_paths(
-            output, {self.netlist.gnd}, fall_edges, adjacency=adjacency
-        )
-        if found is None:
+        if output not in adjacency:
             return {}
-        paths, truncated = found
-        gate_of = ctx.gate_of
+        gnd = self.netlist.gnd
+        max_paths = self.max_paths
         best: dict[str, tuple[float, list]] = {}
-        for path_edges, r_sum in paths:
-            gates = {gate_of[name] for _a, _b, _r, name in path_edges}
-            for gate in gates:
-                if gate not in best or r_sum > best[gate][0]:
-                    best[gate] = (r_sum, path_edges)
+        # gate -> number of devices it gates on the current path.
+        on_path: dict[str, int] = {}
+        path: list[tuple[str, str, float, str]] = []
+        visited = {output}
+        groups_used: dict[int, str] = {}
+        found = 0
+        truncated = False
+
+        def dfs(node: str, r_sum: float) -> None:
+            nonlocal found, truncated
+            if found >= max_paths:
+                truncated = True
+                return
+            if node == gnd:
+                found += 1
+                copied = None
+                for gate in on_path:
+                    incumbent = best.get(gate)
+                    if incumbent is None or r_sum > incumbent[0]:
+                        if copied is None:
+                            copied = list(path)
+                        best[gate] = (r_sum, copied)
+                return
+            for (
+                neighbor,
+                r,
+                name,
+                gate,
+                group,
+                _in_ok,
+                _out_ok,
+                neighbor_boundary,
+            ) in adjacency.get(node, ()):
+                if neighbor in visited:
+                    continue
+                if neighbor_boundary and neighbor != gnd:
+                    continue
+                if group is not None:
+                    used = groups_used.get(group)
+                    if used is not None and used != gate:
+                        continue
+                    fresh_group = used is None
+                    if fresh_group:
+                        groups_used[group] = gate
+                else:
+                    fresh_group = False
+                visited.add(neighbor)
+                path.append((node, neighbor, r, name))
+                on_path[gate] = on_path.get(gate, 0) + 1
+                dfs(neighbor, r_sum + r)
+                left = on_path[gate] - 1
+                if left:
+                    on_path[gate] = left
+                else:
+                    del on_path[gate]
+                path.pop()
+                visited.discard(neighbor)
+                if fresh_group:
+                    del groups_used[group]
+
+        dfs(output, 0.0)
         result: dict[str, ArcTiming] = {}
         timing_cache: dict[int, ArcTiming] = {}
         for gate, (_r, path_edges) in best.items():
@@ -1208,77 +1326,6 @@ class StageDelayCalculator:
                 timing_cache[key] = timing
             result[gate] = timing
         return result
-
-    def _enumerate_paths(
-        self,
-        start: str,
-        targets: set[str],
-        edges: list[tuple[str, str, float, str]],
-        *,
-        respect_flow: bool = False,
-        adjacency: dict | None = None,
-    ) -> tuple[list[tuple[list, float]], bool] | None:
-        """All flow-consistent simple paths from ``start`` to a target.
-
-        Returns ``([(edge_list, total_r), ...], truncated)`` or None.
-        Shares traversal rules with :meth:`_worst_path`.
-        """
-        if adjacency is None:
-            adjacency = self._build_adjacency(edges)
-        if start not in adjacency:
-            return None
-
-        paths: list[tuple[list, float]] = []
-        truncated = False
-        path: list[tuple[str, str, float, str]] = []
-        visited = {start}
-        groups_used: dict[int, str] = {}
-
-        def dfs(node: str, r_sum: float) -> None:
-            nonlocal truncated
-            if len(paths) >= self.max_paths:
-                truncated = True
-                return
-            if node in targets:
-                paths.append((list(path), r_sum))
-                return
-            for (
-                neighbor,
-                r,
-                name,
-                gate,
-                group,
-                in_ok,
-                _out_ok,
-                neighbor_boundary,
-            ) in adjacency.get(node, ()):
-                if neighbor in visited:
-                    continue
-                if neighbor_boundary and neighbor not in targets:
-                    continue
-                if respect_flow and not in_ok:
-                    continue
-                if group is not None:
-                    used = groups_used.get(group)
-                    if used is not None and used != gate:
-                        continue
-                    fresh_group = used is None
-                    if fresh_group:
-                        groups_used[group] = gate
-                else:
-                    fresh_group = False
-                visited.add(neighbor)
-                path.append((node, neighbor, r, name))
-                dfs(neighbor, r_sum + r)
-                path.pop()
-                visited.discard(neighbor)
-                if fresh_group:
-                    del groups_used[group]
-
-        dfs(start, 0.0)
-        if not paths:
-            return None
-        return paths, truncated
 
     def _clocked_switch_arcs(self, ctx: StageContext):
         """Clock-gated pass switches: clock rise lets data through.
@@ -1644,8 +1691,7 @@ class StageDelayCalculator:
         stage: Stage,
         devices: list[Transistor],
         transition: str,
-        active_clocks: frozenset[str] | None,
-        open_gates: frozenset[str] = frozenset(),
+        cut: frozenset[str],
     ) -> list[tuple[str, str, float, str]]:
         """Resistive edges usable on a discharge path (pulldowns + passes)."""
         edges = []
@@ -1658,7 +1704,7 @@ class StageDelayCalculator:
             drain = dev.drain
             if source == vdd or drain == vdd:
                 continue  # precharge / vdd switches never discharge
-            if self._clock_open(dev, active_clocks, open_gates):
+            if dev.name in cut:
                 continue
             if source == gnd or drain == gnd:
                 r = device_resistance(self.tech, dev, "pulldown", transition)
@@ -1672,8 +1718,7 @@ class StageDelayCalculator:
         stage: Stage,
         devices: list[Transistor],
         transition: str,
-        active_clocks: frozenset[str] | None,
-        open_gates: frozenset[str] = frozenset(),
+        cut: frozenset[str],
     ) -> list[tuple[str, str, float, str]]:
         """Resistive edges of the pass network only (no rail terminals)."""
         edges = []
@@ -1686,7 +1731,7 @@ class StageDelayCalculator:
             drain = dev.drain
             if source == vdd or source == gnd or drain == vdd or drain == gnd:
                 continue
-            if self._clock_open(dev, active_clocks, open_gates):
+            if dev.name in cut:
                 continue
             r = device_resistance(self.tech, dev, "pass", transition)
             edges.append((source, drain, r, dev.name))
