@@ -20,6 +20,10 @@ What is measured and gated (written to ``BENCH_mcmm.json``):
   set under the same CPU convention, and the symbolic run must show
   ``parametric_stage_evals`` ticks proving term evaluation actually
   served the arcs.
+
+  Both ratios are best-of-``repeat`` wall times with the two sides
+  timed in turns (A, B, B, A, ...), so a host speed swing lands on both
+  sides instead of deciding a sub-second ratio.
 * **structural sharing** -- hard gate via :mod:`repro.trace` counters: a
   traced MCMM run must show ``structural_runs == 1`` and one
   ``mcmm_scenarios`` tick per corner, while the traced independent runs
@@ -51,7 +55,7 @@ from ..core.mcmm import corner_scenarios
 from ..delay import available_cpus, shutdown_pool
 from ..tech import Technology
 from ..trace import Trace
-from .perf import _best_of, _environment
+from .perf import _best_of_pair, _environment
 
 __all__ = ["run", "main"]
 
@@ -144,19 +148,19 @@ def run(*, smoke: bool = False, repeat: int = 3, workers: int | str = 1):
     failures: list[str] = []
 
     # -- timing: N independent runs vs one MCMM sweep -------------------
-    independent_s = _best_of(
-        repeat, lambda: _independent_run(shape, corners, workers)
+    # Each ratio's two sides are timed in turns (_best_of_pair), so a
+    # swing in host speed cannot fall on one side only.
+    independent_s, mcmm_s = _best_of_pair(
+        repeat,
+        lambda: _independent_run(shape, corners, workers),
+        lambda: _mcmm_run(shape, corners, workers),
     )
-    mcmm_s = _best_of(repeat, lambda: _mcmm_run(shape, corners, workers))
     speedup = independent_s / mcmm_s if mcmm_s > 0 else float("inf")
 
     # -- timing: retarget sweep vs symbolic term evaluation --------------
-    retarget_s = _best_of(
+    retarget_s, symbolic_s = _best_of_pair(
         repeat,
         lambda: _mcmm_run(shape, corners, workers, parametric=False),
-    )
-    symbolic_s = _best_of(
-        repeat,
         lambda: _mcmm_run(shape, corners, workers, parametric=True),
     )
     symbolic_speedup = (

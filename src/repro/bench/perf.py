@@ -138,6 +138,21 @@ def _best_of(repeat: int, fn) -> float:
     return best
 
 
+def _best_of_pair(repeat: int, first, second) -> tuple[float, float]:
+    """Best-of-``repeat`` wall times of two variants, timed in turns.
+
+    Runs alternate (first, second, then second, first, ...), so a swing
+    in host speed lands on both sides of a ratio instead of deciding it.
+    """
+    best = [float("inf"), float("inf")]
+    for turn in range(max(1, repeat)):
+        for side in (0, 1) if turn % 2 == 0 else (1, 0):
+            started = time.perf_counter()
+            (first, second)[side]()
+            best[side] = min(best[side], time.perf_counter() - started)
+    return best[0], best[1]
+
+
 def _environment(workers: int) -> dict:
     """Host metadata making cross-machine trajectories comparable.
 

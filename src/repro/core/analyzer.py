@@ -52,7 +52,7 @@ from ..trace import NULL_TRACE, Trace
 from .arrival import DEFAULT_INPUT_SLEW, ArrivalMap, propagate
 from .constraints import ClockVerification, verify_two_phase
 from .graph import TimingGraph
-from .paths import TimingPath, critical_paths
+from .paths import PathMemo, TimingPath, critical_paths
 from .provenance import Explanation, explain_arrival
 
 __all__ = ["TimingAnalyzer", "AnalysisResult"]
@@ -161,12 +161,14 @@ class _LastSweep:
 
     ``inputs`` is everything else the sweep depended on: sources, input
     slew, slope model, error policy and quarantined stages.  The next run
-    reuses graph and map only if its own inputs are equal.
+    reuses graph and map only if its own inputs are equal, and then the
+    path steps in ``paths`` of every arrival its sweep kept.
     """
 
     graph: TimingGraph
     arrivals: ArrivalMap
     inputs: tuple
+    paths: PathMemo
 
 
 class TimingAnalyzer:
@@ -859,16 +861,17 @@ class TimingAnalyzer:
                 # Only reachable under best-effort (no drive points were
                 # downgraded to a diagnostic above): nothing to propagate.
                 arrivals = ArrivalMap()
-        if sources and not self.calculator.deadline_skipped:
-            self._last_sweep = _LastSweep(graph, arrivals, inputs)
         if arrivals.recomputed is not None:
             self.trace.incr("propagate_incremental")
             self.trace.incr("propagate_recomputed", arrivals.recomputed)
 
         endpoints = set(self.netlist.outputs) or None
+        memo = last.paths if previous is not None else PathMemo()
         with self.trace.timer("paths"):
-            paths = critical_paths(arrivals, endpoints, k=top_k)
-        worst = arrivals.max_arrival(endpoints)
+            paths = critical_paths(arrivals, endpoints, k=top_k, memo=memo)
+        if sources and not self.calculator.deadline_skipped:
+            self._last_sweep = _LastSweep(graph, arrivals, inputs, memo)
+        worst = memo.worst
         self.trace.incr("arcs", len(arcs))
         self.trace.incr("arrivals", len(arrivals))
         self.trace.incr("cut_arcs", len(graph.cut_arcs))

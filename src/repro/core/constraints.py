@@ -29,9 +29,10 @@ from ..clocks import TwoPhaseClock
 from ..delay import FALL, RISE, StageDelayCalculator
 from ..errors import ClockingError
 from ..netlist import DeviceKind, Netlist, Transistor
+from ..stages import StageGraph
 from .arrival import ArrivalMap, propagate
 from .graph import TimingGraph
-from .paths import TimingPath, critical_paths
+from .paths import PathMemo, TimingPath, critical_paths
 
 __all__ = [
     "PhaseResult",
@@ -128,7 +129,10 @@ class ClockVerification:
 
 
 def qualified_low_nodes(
-    netlist: Netlist, clock: TwoPhaseClock, phase: str
+    netlist: Netlist,
+    clock: TwoPhaseClock,
+    phase: str,
+    graph: StageGraph | None = None,
 ) -> frozenset[str]:
     """Control nodes provably low while ``phase`` is high.
 
@@ -139,10 +143,15 @@ def qualified_low_nodes(
     phi1, for example).  Computed with the three-valued switch-level
     simulator, so only *provable* constants qualify.  Falls back to the
     empty set if the circuit does not settle (oscillating feedback).
+
+    The answer reads the netlist's structure and clock labels only, never
+    a width or the technology.  ``graph`` is the netlist's stage
+    decomposition, if one is at hand; otherwise the simulator makes its
+    own.
     """
     from ..sim.switchsim import SwitchSim  # local import: avoid cycle
 
-    sim = SwitchSim(netlist)
+    sim = SwitchSim(netlist, graph)
     assignments: dict[str, object] = {}
     for node, node_phase in netlist.clocks.items():
         assignments[node] = 1 if node_phase == phase else 0
@@ -227,7 +236,14 @@ def verify_two_phase(
 
     for phase in clock.phases:
         active = clock.clock_nodes(netlist, phase)
-        open_gates = qualified_low_nodes(netlist, clock, phase)
+        # Corner siblings share the calculator's memo, so an MCMM sweep
+        # settles the switch-level simulator once per phase.
+        open_gates = calculator._qualified_low.get(phase)
+        if open_gates is None:
+            open_gates = qualified_low_nodes(
+                netlist, clock, phase, calculator.graph
+            )
+            calculator._qualified_low[phase] = open_gates
         arcs = calculator.all_arcs(active_clocks=active, open_gates=open_gates)
         graph = TimingGraph.build(arcs)
 
@@ -247,10 +263,11 @@ def verify_two_phase(
         # Everything launched during the phase must settle before the phase
         # ends -- including nodes written through *qualified* switches
         # (word-line-gated cells), which are not raw clock latches.  The
-        # minimum width is therefore the latest arrival anywhere.
-        worst = arrivals.max_arrival(None)
-        width = worst.time if worst is not None else 0.0
-        top = critical_paths(arrivals, None, k=top_k)
+        # minimum width is therefore the latest arrival anywhere.  Only
+        # the phase's worst path is kept, so only that one is traced.
+        memo = PathMemo()
+        top = critical_paths(arrivals, None, k=min(top_k, 1), memo=memo)
+        width = memo.worst.time if memo.worst is not None else 0.0
 
         verification.phases[phase] = PhaseResult(
             phase=phase,

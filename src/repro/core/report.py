@@ -8,6 +8,11 @@ text report.  This module defines the machine-readable contract:
 * :func:`result_to_json` -- serialize an
   :class:`~repro.core.analyzer.AnalysisResult` to that schema
   (deterministic: byte-identical between serial and parallel runs);
+* :func:`result_to_text` -- the same report as JSON text, exactly
+  ``json.dumps(result_to_json(result))``, with each distinct path step
+  encoded once; given the memo of the last report, only the steps that
+  are new objects since (the steps of re-timed arrivals after an edit,
+  see :mod:`repro.core.paths`) are encoded at all;
 * :func:`validate_report` -- dependency-free structural validation
   against the schema (raises :class:`~repro.errors.ReportSchemaError`);
 * :func:`schema_markdown` -- render the schema as the reference page
@@ -42,6 +47,7 @@ __all__ = [
     "REPORT_SCHEMA_VERSION",
     "REPORT_SCHEMA",
     "result_to_json",
+    "result_to_text",
     "validate_report",
     "schema_markdown",
     "format_ns",
@@ -843,27 +849,28 @@ REPORT_SCHEMA = {
 # ----------------------------------------------------------------------
 # Serialization.
 # ----------------------------------------------------------------------
-def _path_to_json(path) -> dict:
+def _step_to_json(step) -> dict:
+    return {
+        "node": step.node,
+        "transition": step.transition,
+        "time": step.time,
+        "slew": step.slew,
+        "stage": step.stage_index,
+        "via": step.via,
+        "devices": list(step.devices),
+    }
+
+
+def _path_to_json(path, step_to_json=_step_to_json) -> dict:
     return {
         "endpoint": path.endpoint,
         "transition": path.transition,
         "arrival": path.arrival,
-        "steps": [
-            {
-                "node": step.node,
-                "transition": step.transition,
-                "time": step.time,
-                "slew": step.slew,
-                "stage": step.stage_index,
-                "via": step.via,
-                "devices": list(step.devices),
-            }
-            for step in path.steps
-        ],
+        "steps": [step_to_json(step) for step in path.steps],
     }
 
 
-def _clock_to_json(verification) -> dict:
+def _clock_to_json(verification, path_to_json) -> dict:
     clock = verification.clock
     return {
         "phase1": clock.phase1,
@@ -877,7 +884,7 @@ def _clock_to_json(verification) -> dict:
                 "capture_nodes": sorted(result.storage_written),
                 "cut_arc_count": result.cut_arc_count,
                 "critical": (
-                    _path_to_json(result.critical)
+                    path_to_json(result.critical)
                     if result.critical is not None
                     else None
                 ),
@@ -917,6 +924,13 @@ def result_to_json(result, *, include_wall_time: bool = False) -> dict:
     Wall-clock time is the one nondeterministic field, so it is included
     only on request (``include_wall_time=True``).
     """
+    return _result_payload(
+        result, _path_to_json, include_wall_time=include_wall_time
+    )
+
+
+def _result_payload(result, path_to_json, *, include_wall_time: bool) -> dict:
+    """The report of :func:`result_to_json`, each path by ``path_to_json``."""
     from .. import __version__  # local import: package init imports core
 
     payload = {
@@ -952,9 +966,9 @@ def result_to_json(result, *, include_wall_time: bool = False) -> dict:
         "arrival_count": (
             len(result.arrivals) if result.arrivals is not None else None
         ),
-        "paths": [_path_to_json(path) for path in result.paths],
+        "paths": [path_to_json(path) for path in result.paths],
         "clock": (
-            _clock_to_json(result.clock_verification)
+            _clock_to_json(result.clock_verification, path_to_json)
             if result.clock_verification is not None
             else None
         ),
@@ -971,6 +985,61 @@ def result_to_json(result, *, include_wall_time: bool = False) -> dict:
     if include_wall_time:
         payload["analysis_seconds"] = result.analysis_seconds
     return payload
+
+
+class _Encoded(str):
+    """JSON text that :func:`_encode` splices in as it is."""
+
+
+def _encode(value) -> str:
+    """``json.dumps(value)`` for a report's values (str-keyed dicts,
+    lists, scalars), with each :class:`_Encoded` spliced in as it is."""
+    kind = type(value)
+    if kind is _Encoded:
+        return value
+    if kind is dict:
+        return "{" + ", ".join(
+            f"{json.dumps(key)}: {_encode(item)}" for key, item in value.items()
+        ) + "}"
+    if kind is list:
+        return "[" + ", ".join([_encode(item) for item in value]) + "]"
+    return json.dumps(value)
+
+
+def result_to_text(result, *, memo: dict | None = None) -> str:
+    """``json.dumps(result_to_json(result))``, encoding each step once.
+
+    The paths of a report share their steps (:mod:`repro.core.paths`),
+    so each distinct step is encoded once, by the same
+    :func:`_step_to_json` as :func:`result_to_json` uses, and its text
+    spliced in wherever it recurs.  ``memo`` carries step texts from one
+    report to the next: it maps ``id(step)`` to ``(step, text)``, a step
+    that is still the same object reuses its text, and on return the
+    memo holds exactly this report's steps.  One memo serves one thread
+    at a time.
+    """
+    kept = memo if memo is not None else {}
+    texts: dict[int, tuple] = {}
+
+    def step_text(step) -> _Encoded:
+        entry = texts.get(id(step))
+        if entry is None:
+            entry = kept.get(id(step))
+            if entry is None or entry[0] is not step:
+                entry = (step, _Encoded(json.dumps(_step_to_json(step))))
+            texts[id(step)] = entry
+        return entry[1]
+
+    def path_to_json(path) -> dict:
+        return _path_to_json(path, step_text)
+
+    text = _encode(
+        _result_payload(result, path_to_json, include_wall_time=False)
+    )
+    if memo is not None:
+        memo.clear()
+        memo.update(texts)
+    return text
 
 
 # ----------------------------------------------------------------------

@@ -476,6 +476,10 @@ class StageDelayCalculator:
         #: stages that sweep cuts anything in.  Structural, like the
         #: device facts: kept across edits, shared with retarget clones.
         self._cut_maps: dict[tuple, dict[int, frozenset[str]]] = {}
+        #: Clock phase -> control nodes provably low while it is high
+        #: (``repro.core.constraints.qualified_low_nodes``).  Structural
+        #: too, so shared with retarget clones.
+        self._qualified_low: dict[str, frozenset[str]] = {}
         # name -> (gate, group, source, out_of_source, out_of_drain,
         #          source_is_boundary, drain_is_boundary); see
         # _device_fact_map.
@@ -611,12 +615,15 @@ class StageDelayCalculator:
             stage = self.graph.stage_of(node)
             if stage is not None:
                 stale.add(stage.index)
-        if stale:
-            self._arc_cache = {
-                key: arcs
-                for key, arcs in self._arc_cache.items()
-                if key[0] not in stale
-            }
+        # A stage's arcs are cached under its index and each cut set some
+        # sweep gave it (:meth:`arcs`): none, or one from a cut map.
+        cache = self._arc_cache
+        for index in stale:
+            cache.pop((index, _NO_CUTS), None)
+            for cut_map in self._cut_maps.values():
+                cut = cut_map.get(index)
+                if cut is not None:
+                    cache.pop((index, cut), None)
         if self._parametric_source is not None:
             # The symbolic sibling shares our pool binding and serves
             # corner clones; its terms predate the edit too.
@@ -626,8 +633,9 @@ class StageDelayCalculator:
         """A calculator evaluating the same structure at ``tech``.
 
         This is the MCMM re-evaluation hook: the clone shares the
-        netlist, the stage graph, the (tech-independent) device-fact map
-        and the per-sweep cut maps, so only the numeric delay terms --
+        netlist, the stage graph, the (tech-independent) device-fact map,
+        the per-sweep cut maps and each clock phase's qualified-low nodes,
+        so only the numeric delay terms --
         resistances, capacitances, k-factors -- are recomputed at the new
         corner.
         Delay caches (``_cap_cache``/``_arc_cache``) start empty because
@@ -664,6 +672,7 @@ class StageDelayCalculator:
         clone.diagnostics = list(self.diagnostics)
         clone._device_facts = self._device_fact_map()
         clone._cut_maps = self._cut_maps
+        clone._qualified_low = self._qualified_low
         clone._pool_token = self._pool_token
         clone._pool_epoch = self._pool_epoch
         clone.parametric = self.parametric
@@ -2330,7 +2339,7 @@ class _PersistentPool:
         """Terminate and forget the pool.  Idempotent, parent-only.
 
         Never blocks on a hung worker: outstanding work is abandoned and
-        any process still alive is terminated, so injected hangs cannot
+        any process still alive is killed, so injected hangs cannot
         stall interpreter shutdown and no worker outlives the pool.
         """
         executor, self._executor = self._executor, None
@@ -2343,9 +2352,12 @@ class _PersistentPool:
             return
         procs = list((getattr(executor, "_processes", None) or {}).values())
         executor.shutdown(wait=False, cancel_futures=True)
+        # SIGKILL, not SIGTERM: a worker forked moments before can lose a
+        # SIGTERM (the interpreter clears pending signals right after
+        # fork) and would then wait on the call queue for good.
         for proc in procs:
             if proc.is_alive():
-                proc.terminate()
+                proc.kill()
         self._evicted += 1
 
     def diagnostics(self) -> dict:

@@ -57,13 +57,13 @@ the cache, so every report text lives in one byte-bounded place.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
 
 from .. import robust
 from ..core import TimingAnalyzer, charge_sharing_report
+from ..core.report import result_to_text
 from ..errors import NetlistError
 from ..netlist import sim_dumps, sim_loads
 from ..tech import NMOS4, Technology
@@ -123,6 +123,9 @@ class DesignSession:
         self._load_sim_text = sim_text
         self._load_digest = hashlib.sha256(sim_text.encode()).hexdigest()
         self._results: OrderedDict[str, object] = OrderedDict()
+        #: Encoded step texts of the last report this session encoded
+        #: (``result_to_text``'s memo); used only under the write lock.
+        self._step_texts: dict[int, tuple] = {}
         #: Exact final w/l of every device edited since load.
         self._edited_dims: dict[str, dict] = {}
         #: Load-time w/l of every device edited since load.
@@ -146,8 +149,9 @@ class DesignSession:
     def _policy(self, policy: str):
         """Temporarily run the engine under ``policy``.
 
-        Only ever entered under the write lock, so no concurrent request
-        can observe the swapped policy.
+        Swaps only when ``policy`` is not the session's own, and that
+        happens only under the write lock, so no concurrent request can
+        observe the swapped policy.
         """
         analyzer = self.analyzer
         if policy == analyzer.on_error:
@@ -241,6 +245,15 @@ class DesignSession:
         return not any(
             d.code == "deadline-exceeded" for d in result.diagnostics
         )
+
+    def _report_text(self, result) -> str:
+        """The report's JSON text, ``json.dumps(result.to_json())``.
+
+        Steps the last encoded report shared with this one (every step
+        an edit did not re-time) reuse their text; see
+        :func:`~repro.core.report.result_to_text`.
+        """
+        return result_to_text(result, memo=self._step_texts)
 
     def _remember(self, key: str, result) -> None:
         self._results[key] = result
@@ -337,7 +350,7 @@ class DesignSession:
             _engine, result = self._run(
                 key, policy, input_arrivals, top_k, deadline, tech
             )
-            payload = json.dumps(result.to_json())
+            payload = self._report_text(result)
             if use_cache and self._cacheable(result):
                 self.cache.put(key, payload)
             return payload, False, self.epoch
@@ -358,38 +371,59 @@ class DesignSession:
 
         Reuses the memoized analysis for the same options when one
         exists (the common "analyze, then explain the critical path"
-        flow costs one engine run, not two).  ``node=None`` explains the
-        critical-path endpoint.  ``corner`` explains the design at
-        another technology point; ``sensitivity=True`` attaches
+        flow costs one engine run, not two).  Such a memo hit under the
+        session's own policy, without ``sensitivity``, runs and changes
+        nothing in the engine, so it explains under the read lock and
+        viewers' cached reads need not wait for it.  ``node=None``
+        explains the critical-path endpoint.  ``corner`` explains the
+        design at another technology point; ``sensitivity=True`` attaches
         per-parameter arrival slopes (see ``TimingAnalyzer.explain``).
         """
         policy = self._policy_for(on_error)
         tech = self._resolve_corner(corner)
+        if not sensitivity:
+            with self.lock.read_locked():
+                held = None
+                if policy == self.analyzer.on_error:
+                    key = self._key(policy, top_k, input_arrivals, tech)
+                    held = self._results.get(key)
+                if held is not None:
+                    return self._explain(
+                        held, node, transition, policy, sensitivity
+                    ), self.epoch
         with self.lock.write_locked():
             key = self._key(policy, top_k, input_arrivals, tech)
             held = self._results.get(key)
             if held is None:
-                engine, result = self._run(
+                held = self._run(
                     key, policy, input_arrivals, top_k, deadline, tech
                 )
             else:
                 self._results.move_to_end(key)
-                engine, result = held
-            if node is None:
-                if not result.paths:
-                    raise NetlistError(
-                        f"design {self.name!r} has no critical path to "
-                        "explain; name a node"
-                    )
-                node = result.paths[0].endpoint
-            with self._policy(policy):
-                explanation = engine.explain(
-                    node,
-                    transition,
-                    result=result,
-                    sensitivity=sensitivity,
+            return self._explain(
+                held, node, transition, policy, sensitivity
+            ), self.epoch
+
+    def _explain(
+        self, held, node, transition, policy: str, sensitivity: bool
+    ) -> dict:
+        """Explain ``node`` with a memoized ``(engine, result)`` pair."""
+        engine, result = held
+        if node is None:
+            if not result.paths:
+                raise NetlistError(
+                    f"design {self.name!r} has no critical path to "
+                    "explain; name a node"
                 )
-            return explanation.to_json(), self.epoch
+            node = result.paths[0].endpoint
+        with self._policy(policy):
+            explanation = engine.explain(
+                node,
+                transition,
+                result=result,
+                sensitivity=sensitivity,
+            )
+        return explanation.to_json()
 
     def charge(self, *, threshold: float = 0.5) -> tuple[dict, int]:
         """Charge-sharing hazard check (read-only; shares the lock)."""
@@ -496,7 +530,7 @@ class DesignSession:
             _engine, result = self._run(
                 key, policy, input_arrivals, top_k, deadline, tech
             )
-            payload = json.dumps(result.to_json())
+            payload = self._report_text(result)
             if use_cache and self._cacheable(result):
                 self.cache.put(key, payload)
             return payload, False, self.epoch, False
@@ -526,7 +560,7 @@ class DesignSession:
             _engine, result = self._run(
                 key, policy, input_arrivals, top_k, deadline, tech
             )
-            payload = json.dumps(result.to_json())
+            payload = self._report_text(result)
             if self._cacheable(result):
                 self.cache.put(key, payload)
         self._remember_request(request_id, epoch, key)

@@ -19,6 +19,7 @@ reproducible locally.
 import json
 import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -184,8 +185,33 @@ def _workers_reaped(timeout_s: float = 5.0) -> bool:
     return False
 
 
+def _ignore_sigterm() -> int:
+    """Pool task: the worker stops acting on SIGTERM, as if the signal
+    had reached it in its first moments after fork, when the interpreter
+    drops it."""
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    return os.getpid()
+
+
 class TestPoolLifecycle:
     """The persistent pool: idempotent shutdown, no orphans, clean ^C."""
+
+    def test_no_orphans_when_a_worker_misses_sigterm(self, net):
+        # A busy worker that does not act on SIGTERM is still gone after
+        # shutdown, and quickly.
+        stage_delay.shutdown_pool()
+        assert _workers_reaped()
+        calc = TimingAnalyzer(net).calculator
+        try:
+            executor, _warm = stage_delay._POOL.acquire(calc, 1)
+            executor.submit(_ignore_sigterm).result(timeout=30)
+            executor.submit(time.sleep, 60)
+            time.sleep(0.2)
+            stage_delay.shutdown_pool()
+            assert _workers_reaped(timeout_s=3.0)
+        finally:
+            for proc in multiprocessing.active_children():
+                proc.kill()
 
     def test_shutdown_is_idempotent(self, net):
         stage_delay.shutdown_pool()
