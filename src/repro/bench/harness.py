@@ -4,16 +4,24 @@ Each file in ``benchmarks/`` regenerates one table or figure of the
 reconstructed evaluation (see DESIGN.md section 3).  This module holds the
 pieces they share: accuracy comparisons between the static analyzer and
 SPICE-lite, timed analysis runs, and series containers that print in the
-paper's row/series format.
+paper's row/series format.  It also holds what the regression gates
+(``repro.bench.perf``, ``repro.bench.mcmm``, ``repro.bench.serve``)
+share: best-of timing, the host environment record, and the record of a
+speed gate that a single-CPU host skips.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import pathlib
+import platform
+import subprocess
 import time
 from dataclasses import dataclass, field
 
 from ..core import TimingAnalyzer, format_table
-from ..delay import SlopeModel
+from ..delay import SlopeModel, auto_workers, available_cpus
 from ..errors import SimulationError
 from ..netlist import Netlist
 from ..sim import TransientOptions, measure_step_delay
@@ -25,7 +33,96 @@ __all__ = [
     "Series",
     "percent_error",
     "save_result",
+    "REPO_ROOT",
+    "best_of",
+    "best_of_pair",
+    "environment",
+    "git_revision",
+    "speed_gate",
 ]
+
+#: The checkout this package runs from; ``BENCH_*.json`` files land here.
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
+
+
+def best_of(repeat: int, fn) -> float:
+    """Best (lowest) wall time of ``repeat`` calls of ``fn``."""
+    best = None
+    for _ in range(max(1, repeat)):
+        started = time.perf_counter()
+        fn()
+        elapsed = time.perf_counter() - started
+        best = elapsed if best is None else min(best, elapsed)
+    return best
+
+
+def best_of_pair(repeat: int, first, second) -> tuple[float, float]:
+    """Best-of-``repeat`` wall times of two variants, timed in turns.
+
+    Runs alternate (first, second, then second, first, ...), so a swing
+    in host speed lands on both sides of a ratio instead of deciding it.
+    """
+    best = [float("inf"), float("inf")]
+    for turn in range(max(1, repeat)):
+        for side in (0, 1) if turn % 2 == 0 else (1, 0):
+            started = time.perf_counter()
+            (first, second)[side]()
+            best[side] = min(best[side], time.perf_counter() - started)
+    return best[0], best[1]
+
+
+def git_revision() -> str | None:
+    """``HEAD`` of the checkout, or ``None`` outside a git work tree."""
+    if not (REPO_ROOT / ".git").exists():
+        return None
+    try:
+        done = subprocess.run(
+            ["git", "-C", str(REPO_ROOT), "rev-parse", "HEAD"],
+            capture_output=True, text=True, timeout=30,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def environment(workers: int) -> dict:
+    """Host metadata making cross-machine trajectories comparable.
+
+    ``affinity_cpus`` is what the crossover heuristic actually sees
+    (container CPU quotas show up here, not in ``os.cpu_count``), and
+    ``git_revision`` names the code that was measured.
+    """
+    return {
+        "cpu_count": os.cpu_count(),
+        "affinity_cpus": available_cpus(),
+        "mp_start_method": multiprocessing.get_start_method(),
+        "mp_start_methods": list(multiprocessing.get_all_start_methods()),
+        "bench_workers": workers,
+        "auto_workers": auto_workers(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "git_revision": git_revision(),
+    }
+
+
+def speed_gate(measured: float, required: float, env: dict) -> dict:
+    """``{applied, required, measured, skip_reason}`` of a speed gate.
+
+    It applies only where ``env`` (an :func:`environment` record) shows
+    at least two usable CPUs; a 1-CPU host records the measurement and
+    the skip instead of a vacuous pass or an unattainable failure.
+    """
+    cpus = env["affinity_cpus"]
+    applied = cpus >= 2
+    return {
+        "applied": applied,
+        "required": required,
+        "measured": measured,
+        "skip_reason": None if applied else (
+            f"host exposes {cpus} usable CPU(s); the gate needs at least "
+            "2 (measured value recorded regardless)"
+        ),
+    }
 
 
 def save_result(name: str, text: str) -> None:
@@ -41,8 +138,6 @@ def save_result(name: str, text: str) -> None:
 
         REPRO_RESULTS_DIR=/tmp/results PYTHONPATH=src pytest benchmarks/
     """
-    import os
-    import pathlib
     import sys
 
     print(text)
@@ -50,11 +145,7 @@ def save_result(name: str, text: str) -> None:
     if override:
         results_dir = pathlib.Path(override)
     else:
-        results_dir = (
-            pathlib.Path(__file__).resolve().parents[3]
-            / "benchmarks"
-            / "results"
-        )
+        results_dir = REPO_ROOT / "benchmarks" / "results"
     from ..core import atomic_write_text
 
     try:

@@ -12,22 +12,17 @@ What is measured and gated (written to ``BENCH_mcmm.json``):
 * **mcmm_speedup** -- wall-clock of N independent single-corner analyses
   divided by one N-corner ``analyze_mcmm``.  Gated ``> 1.0`` on hosts
   with at least 2 usable CPUs; a 1-CPU host records the measurement and
-  an explicit skip (matching ``repro.bench.perf``'s convention).
-* **symbolic_speedup** -- the PR 7 retarget sweep (``parametric=False``:
-  every corner re-extracts concretely) divided by the parametric sweep
-  (``parametric=True``: one symbolic extraction, N term evaluations; see
-  :mod:`repro.delay.parametric`).  Gated ``>= 1.0`` across the 3-corner
-  set under the same CPU convention, and the symbolic run must show
-  ``parametric_stage_evals`` ticks proving term evaluation actually
-  served the arcs.
-
-  Both ratios are best-of-``repeat`` wall times with the two sides
-  timed in turns (A, B, B, A, ...), so a host speed swing lands on both
-  sides instead of deciding a sub-second ratio.
+  an explicit skip (:func:`repro.bench.harness.speed_gate`).  The ratio
+  is of best-of-``repeat`` wall times with the two sides timed in turns
+  (A, B, B, A, ...), so a host speed swing lands on both sides instead
+  of deciding a sub-second ratio.
 * **structural sharing** -- hard gate via :mod:`repro.trace` counters: a
   traced MCMM run must show ``structural_runs == 1`` and one
   ``mcmm_scenarios`` tick per corner, while the traced independent runs
-  show ``structural_runs == N``.
+  show ``structural_runs == N``.  Its ``parametric_stage_evals`` must be
+  nonzero: the sweep extracts terms once and evaluates them per corner
+  (:mod:`repro.delay.parametric`), and the ticks prove term evaluation
+  actually served the arcs.
 * **parity** -- every scenario's ``to_json`` must be byte-identical to a
   standalone single-corner analysis (the MCMM correctness anchor).
 * **R-X3 signoff shape** -- the assertions ported from
@@ -45,21 +40,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import pathlib
 import sys
 import time
 
 from ..circuits import mips_like_datapath
-from ..core import TimingAnalyzer, atomic_write_text
+from ..core import TimingAnalyzer, atomic_write_json
 from ..core.mcmm import corner_scenarios
 from ..delay import available_cpus, shutdown_pool
 from ..tech import Technology
 from ..trace import Trace
-from .perf import _best_of_pair, _environment
+from .harness import REPO_ROOT, best_of_pair, environment, speed_gate
 
 __all__ = ["run", "main"]
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 OUTPUT_PATH = REPO_ROOT / "BENCH_mcmm.json"
 
 #: (registers, shifts) of the benchmarked datapath.
@@ -86,12 +79,10 @@ def _independent_run(shape, corners, workers, trace=None) -> dict:
     return results
 
 
-def _mcmm_run(shape, corners, workers, trace=None, parametric=None):
+def _mcmm_run(shape, workers, trace=None):
     net = _fresh_net(shape)
     tv = TimingAnalyzer(net, workers=workers, trace=trace)
-    return tv.analyze_mcmm(
-        corner_scenarios(net.tech), parametric=parametric
-    )
+    return tv.analyze_mcmm(corner_scenarios(net.tech))
 
 
 def _signoff_gates(results: dict, failures: list[str]) -> dict:
@@ -142,34 +133,24 @@ def run(*, smoke: bool = False, repeat: int = 3, workers: int | str = 1):
     """Measure and gate; returns ``(payload, failures)``."""
     shape = SMOKE_SHAPE if smoke else FULL_SHAPE
     corners = _corner_table(_fresh_net(shape).tech)
-    environment = _environment(
+    env = environment(
         workers if isinstance(workers, int) else available_cpus()
     )
     failures: list[str] = []
 
     # -- timing: N independent runs vs one MCMM sweep -------------------
-    # Each ratio's two sides are timed in turns (_best_of_pair), so a
-    # swing in host speed cannot fall on one side only.
-    independent_s, mcmm_s = _best_of_pair(
+    # The two sides are timed in turns (best_of_pair), so a swing in
+    # host speed cannot fall on one side only.
+    independent_s, mcmm_s = best_of_pair(
         repeat,
         lambda: _independent_run(shape, corners, workers),
-        lambda: _mcmm_run(shape, corners, workers),
+        lambda: _mcmm_run(shape, workers),
     )
     speedup = independent_s / mcmm_s if mcmm_s > 0 else float("inf")
 
-    # -- timing: retarget sweep vs symbolic term evaluation --------------
-    retarget_s, symbolic_s = _best_of_pair(
-        repeat,
-        lambda: _mcmm_run(shape, corners, workers, parametric=False),
-        lambda: _mcmm_run(shape, corners, workers, parametric=True),
-    )
-    symbolic_speedup = (
-        retarget_s / symbolic_s if symbolic_s > 0 else float("inf")
-    )
-
     # -- structural sharing, observable via trace counters --------------
     mcmm_trace = Trace()
-    mcmm = _mcmm_run(shape, corners, workers, trace=mcmm_trace)
+    mcmm = _mcmm_run(shape, workers, trace=mcmm_trace)
     independent_trace = Trace()
     independent = _independent_run(
         shape, corners, workers, trace=independent_trace
@@ -222,39 +203,11 @@ def run(*, smoke: bool = False, repeat: int = 3, workers: int | str = 1):
     signoff = _signoff_gates(independent, failures)
 
     # -- the speedup gate -------------------------------------------------
-    gate_applies = environment["affinity_cpus"] >= 2
-    speedup_gate = {
-        "applied": gate_applies,
-        "required": 1.0,
-        "measured": speedup,
-        "skip_reason": (
-            None
-            if gate_applies
-            else (
-                f"host exposes {environment['affinity_cpus']} usable "
-                "CPU(s); the gate needs at least 2 for a stable margin "
-                "(measured value recorded regardless)"
-            )
-        ),
-    }
-    if gate_applies and speedup <= 1.0:
+    speedup_gate = speed_gate(speedup, 1.0, env)
+    if speedup_gate["applied"] and speedup <= 1.0:
         failures.append(
             f"{len(corners)}-corner MCMM is {speedup:.2f}x the "
             "independent baseline; shared extraction must win (> 1.0x)"
-        )
-
-    # -- the symbolic-vs-retarget gate -----------------------------------
-    symbolic_gate = {
-        "applied": gate_applies,
-        "required": 1.0,
-        "measured": symbolic_speedup,
-        "skip_reason": speedup_gate["skip_reason"],
-    }
-    if gate_applies and symbolic_speedup < 1.0:
-        failures.append(
-            f"symbolic {len(corners)}-corner evaluation is "
-            f"{symbolic_speedup:.2f}x the retarget sweep; term "
-            "evaluation must not lose (>= 1.0x)"
         )
 
     shutdown_pool()
@@ -263,15 +216,11 @@ def run(*, smoke: bool = False, repeat: int = 3, workers: int | str = 1):
         "smoke": smoke,
         "circuit": f"mips_like_datapath{shape}",
         "corners": list(corners),
-        "environment": environment,
+        "environment": env,
         "independent_seconds": independent_s,
         "mcmm_seconds": mcmm_s,
         "mcmm_speedup": speedup,
-        "retarget_seconds": retarget_s,
-        "symbolic_seconds": symbolic_s,
-        "symbolic_speedup": symbolic_speedup,
         "speedup_gate": speedup_gate,
-        "symbolic_gate": symbolic_gate,
         "structural": structural,
         "parity": parity_rows,
         "signoff": signoff,
@@ -305,17 +254,14 @@ def main(argv: list[str] | None = None) -> int:
     payload, failures = run(
         smoke=args.smoke, repeat=args.repeat, workers=workers
     )
-    atomic_write_text(
-        OUTPUT_PATH, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    atomic_write_json(OUTPUT_PATH, payload)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(
             f"MCMM bench ({payload['circuit']}): "
-            f"{payload['mcmm_speedup']:.2f}x vs independent runs, "
-            f"symbolic {payload['symbolic_speedup']:.2f}x vs retarget "
-            f"(gates {'applied' if payload['speedup_gate']['applied'] else 'skipped'}), "
+            f"{payload['mcmm_speedup']:.2f}x vs independent runs "
+            f"(gate {'applied' if payload['speedup_gate']['applied'] else 'skipped'}), "
             f"dominant corner: {payload['dominant']}"
         )
         print(f"wrote {OUTPUT_PATH}")

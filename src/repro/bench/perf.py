@@ -11,7 +11,7 @@ analysis per size (:class:`repro.trace.Trace`) -- a ``phase_attribution``
 breakdown saying what fraction of the end-to-end time each pipeline phase
 (erc/flow/stages/extract/propagate/paths) consumed.  The gated timings
 themselves run with tracing disabled, proving the ``NULL_TRACE`` default
-costs nothing.  It then gates on two regressions:
+costs nothing.  It then gates on three regressions:
 
 * no phase may be slower than ``benchmarks/results/perf_baseline.json``
   by more than the tolerance factor (``REPRO_PERF_TOLERANCE``, default
@@ -31,8 +31,8 @@ The full run also times the persistent pool's **cold start** (first
 pooled sweep after :func:`repro.delay.shutdown_pool`) against its
 **warm reuse** (subsequent sweeps on live workers), and records the host
 environment (CPU count, scheduler affinity, ``multiprocessing`` start
-method, resolved worker count) so ``BENCH_perf.json`` files from
-different machines are comparable.
+method, resolved worker count, git revision) so ``BENCH_perf.json``
+files from different machines and commits are comparable.
 
 Smoke mode (``--smoke``) measures the smallest circuit only with a
 single repetition, skips the MIPS point and the speedup gates, but
@@ -56,7 +56,7 @@ Run as::
 
     PYTHONPATH=src python -m repro.bench.perf            # full gate
     PYTHONPATH=src python -m repro.bench.perf --smoke    # CI smoke: quick,
-                                                         # no assertions
+                                                         # looser gate
 
 Exit status 0 means no regression; 1 means a gate failed.
 """
@@ -65,12 +65,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import pathlib
-import platform
 import sys
-import time
 
 from ..circuits import (
     ProductTerm,
@@ -104,12 +101,12 @@ from ..circuits import (
 from ..core import TimingAnalyzer, atomic_write_json
 from ..core.arrival import propagate
 from ..core.graph import TimingGraph
-from ..delay import FALL, RISE, auto_workers, available_cpus, shutdown_pool
+from ..delay import FALL, RISE, shutdown_pool
 from ..trace import Trace
+from .harness import REPO_ROOT, best_of, environment, speed_gate
 
 __all__ = ["run", "main", "parity_circuits"]
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "results" / "perf_baseline.json"
 OUTPUT_PATH = REPO_ROOT / "BENCH_perf.json"
 
@@ -126,49 +123,6 @@ def _env_float(name: str, default: float) -> float:
         return float(raw)
     except ValueError:
         sys.exit(f"error: {name}={raw!r} is not a number")
-
-
-def _best_of(repeat: int, fn) -> float:
-    best = None
-    for _ in range(max(1, repeat)):
-        started = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
-    return best
-
-
-def _best_of_pair(repeat: int, first, second) -> tuple[float, float]:
-    """Best-of-``repeat`` wall times of two variants, timed in turns.
-
-    Runs alternate (first, second, then second, first, ...), so a swing
-    in host speed lands on both sides of a ratio instead of deciding it.
-    """
-    best = [float("inf"), float("inf")]
-    for turn in range(max(1, repeat)):
-        for side in (0, 1) if turn % 2 == 0 else (1, 0):
-            started = time.perf_counter()
-            (first, second)[side]()
-            best[side] = min(best[side], time.perf_counter() - started)
-    return best[0], best[1]
-
-
-def _environment(workers: int) -> dict:
-    """Host metadata making cross-machine trajectories comparable.
-
-    ``affinity_cpus`` is what the crossover heuristic actually sees
-    (container CPU quotas show up here, not in ``os.cpu_count``).
-    """
-    return {
-        "cpu_count": os.cpu_count(),
-        "affinity_cpus": available_cpus(),
-        "mp_start_method": multiprocessing.get_start_method(),
-        "mp_start_methods": list(multiprocessing.get_all_start_methods()),
-        "bench_workers": workers,
-        "auto_workers": auto_workers(),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-    }
 
 
 def _bench_mips(repeat: int, workers: int) -> dict:
@@ -191,15 +145,15 @@ def _bench_mips(repeat: int, workers: int) -> dict:
         tv.calculator._arc_cache.clear()
         tv.calculator.all_arcs(parallel=False)
 
-    extract_s = _best_of(min(repeat, 2), extract_serial)
+    extract_s = best_of(min(repeat, 2), extract_serial)
 
     def extract_pooled() -> None:
         tv.calculator._arc_cache.clear()
         tv.calculator.all_arcs(parallel=True, workers=workers)
 
     shutdown_pool()
-    cold_s = _best_of(1, extract_pooled)
-    warm_s = _best_of(min(repeat, 2), extract_pooled)
+    cold_s = best_of(1, extract_pooled)
+    warm_s = best_of(min(repeat, 2), extract_pooled)
 
     return {
         "circuit": "mips_benchmark_datapath",
@@ -223,11 +177,11 @@ def _bench_size(size: int, repeat: int, workers: int) -> dict:
     # any pool has forked keeps it clear of allocator/page-cache noise
     # from the other phases.  A couple of extra repetitions tighten the
     # best-of estimate on busy machines.
-    end_to_end_s = _best_of(
+    end_to_end_s = best_of(
         repeat + 2, lambda: TimingAnalyzer(net).analyze()
     )
 
-    setup_s = _best_of(repeat, lambda: TimingAnalyzer(net))
+    setup_s = best_of(repeat, lambda: TimingAnalyzer(net))
 
     tv = TimingAnalyzer(net)
 
@@ -235,7 +189,7 @@ def _bench_size(size: int, repeat: int, workers: int) -> dict:
         tv.calculator._arc_cache.clear()
         tv.calculator.all_arcs(parallel=False)
 
-    extract_s = _best_of(repeat, extract_serial)
+    extract_s = best_of(repeat, extract_serial)
 
     tv.calculator._arc_cache.clear()
     arcs = tv.calculator.all_arcs(parallel=False)
@@ -248,7 +202,7 @@ def _bench_size(size: int, repeat: int, workers: int) -> dict:
         graph = TimingGraph.build(arcs)
         propagate(graph, sources, tv.calculator.slope)
 
-    propagate_s = _best_of(repeat, run_propagate)
+    propagate_s = best_of(repeat, run_propagate)
 
     def extract_parallel() -> None:
         tv.calculator._arc_cache.clear()
@@ -257,8 +211,8 @@ def _bench_size(size: int, repeat: int, workers: int) -> dict:
     # Cold first (fresh fork + snapshot attach), then warm reuse of the
     # persistent pool -- the steady-state number the speedup uses.
     shutdown_pool()
-    parallel_extract_cold_s = _best_of(1, extract_parallel)
-    parallel_extract_s = _best_of(repeat, extract_parallel)
+    parallel_extract_cold_s = best_of(1, extract_parallel)
+    parallel_extract_s = best_of(repeat, extract_parallel)
 
     # One traced analysis attributes the end-to-end time to the pipeline
     # phases (erc/flow/stages/extract/propagate/paths).  Deliberately
@@ -402,7 +356,7 @@ def run(
     else:
         tolerance = _env_float("REPRO_PERF_TOLERANCE", 1.75)
     min_speedup = _env_float("REPRO_PERF_MIN_SPEEDUP", 1.5)
-    environment = _environment(workers)
+    env = environment(workers)
 
     results: dict[str, dict] = {}
     for size in sizes:
@@ -447,32 +401,16 @@ def run(
         )
 
     if mips_row is not None:
-        # The parallel-wins gate.  Physically unattainable with a single
-        # usable CPU, so it only *applies* on multi-CPU hosts; a 1-CPU
-        # host records the measurement and an explicit skip.
-        gate_applies = environment["affinity_cpus"] >= 2
+        # The parallel-wins gate: parallel extraction cannot beat serial
+        # on a single usable CPU.
         mips_speedup = mips_row["extract_speedup_parallel_vs_serial"]
-        mips_row["speedup_gate"] = {
-            "applied": gate_applies,
-            "required": 1.0,
-            "measured": mips_speedup,
-            "skip_reason": (
-                None
-                if gate_applies
-                else (
-                    "host exposes "
-                    f"{environment['affinity_cpus']} usable CPU(s); "
-                    "parallel extraction cannot beat serial without at "
-                    "least 2"
-                )
-            ),
-        }
-        if gate_applies and mips_speedup <= 1.0:
+        gate = mips_row["speedup_gate"] = speed_gate(mips_speedup, 1.0, env)
+        if gate["applied"] and mips_speedup <= 1.0:
             failures.append(
                 f"warm-pool parallel extraction at the MIPS point is "
                 f"{mips_speedup:.2f}x serial; the persistent pool must "
                 f"win (> 1.0x) with {workers} workers on "
-                f"{environment['affinity_cpus']} CPUs"
+                f"{env['affinity_cpus']} CPUs"
             )
 
     parity, supervision = check_parity(workers)
@@ -491,7 +429,7 @@ def run(
         "workers": workers,
         "tolerance": tolerance,
         "min_end_to_end_speedup": min_speedup,
-        "environment": environment,
+        "environment": env,
         "results": results,
         "parity": {
             "circuits": len(parity),

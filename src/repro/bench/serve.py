@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pathlib
 import sys
 import tempfile
 import time
@@ -49,11 +48,10 @@ from ..core import atomic_write_json
 from ..delay import shutdown_pool
 from ..netlist import sim_dumps, sim_loads
 from ..serve import TimingServer
-from .perf import _best_of, _environment
+from .harness import REPO_ROOT, best_of, environment
 
 __all__ = ["run", "main"]
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 OUTPUT_PATH = REPO_ROOT / "BENCH_serve.json"
 
 #: R-T3 scaling points (devices ~= size + 1).
@@ -111,7 +109,7 @@ def _bench_size(client: _Client, size: int, repeat: int) -> dict:
         reply = client.post(f"/designs/{name}/analyze", {})
         assert reply["cached"] is True
 
-    warm_s = _best_of(repeat, warm_query)
+    warm_s = best_of(repeat, warm_query)
 
     # Incremental edit loop: toggle one device width so every /delta is
     # a real engine run (cache bypassed to time the engine, not the
@@ -127,7 +125,7 @@ def _bench_size(client: _Client, size: int, repeat: int) -> dict:
         )
         assert reply["cached"] is False
 
-    delta_s = _best_of(repeat, delta_query)
+    delta_s = best_of(repeat, delta_query)
 
     # Full-reanalysis comparator: what re-running the CLI on the edited
     # netlist costs -- a fresh parse/ERC/decomposition (the load) plus a
@@ -142,7 +140,7 @@ def _bench_size(client: _Client, size: int, repeat: int) -> dict:
         )
         assert reply["cached"] is False
 
-    full_s = _best_of(repeat, full_query)
+    full_s = best_of(repeat, full_query)
 
     return {
         "size": size,
@@ -178,14 +176,14 @@ def _bench_recovery(size: int, repeat: int) -> dict:
             assert revived.recovered_designs == [name]
             revived.stop()
 
-        recovery_s = _best_of(repeat, replay)
+        recovery_s = best_of(repeat, replay)
 
         def cold_reload() -> None:
             fresh = TimingServer(port=0)
             fresh.load(name, {"sim": sim_text})
             fresh.stop()
 
-        cold_s = _best_of(repeat, cold_reload)
+        cold_s = best_of(repeat, cold_reload)
 
     return {
         "size": size,
@@ -239,7 +237,7 @@ def run(*, smoke: bool = False, repeat: int | None = None) -> tuple[dict, list]:
         "bench": "serve",
         "smoke": smoke,
         "repeat": repeat,
-        "environment": _environment(1),
+        "environment": environment(1),
         "server": stats["server"],
         "cache": stats["cache"],
         "results": rows,

@@ -199,12 +199,11 @@ class TimingAnalyzer:
         Arc-extraction fan-out width: a positive int, or ``"auto"`` to
         size the pool from the CPUs actually available.  With more than
         one worker every ``all_arcs`` sweep (combinational and
-        per-phase) extracts stages on a persistent ``concurrent.futures``
-        pool when the measured crossover heuristic predicts a win
+        per-phase) extracts stages on the persistent fork pool
+        (:mod:`repro.delay.pool`) when the measured crossover heuristic
+        predicts a win
         (device count vs. pool warmth), staying serial otherwise;
         results are bit-identical to serial extraction either way.
-    executor:
-        Pool flavour: ``"process"`` (fork), ``"thread"``, or ``"auto"``.
     trace:
         Optional :class:`repro.trace.Trace` collecting per-phase timers
         (``erc`` / ``flow`` / ``stages`` / ``extract`` / ``propagate`` /
@@ -258,7 +257,6 @@ class TimingAnalyzer:
         max_paths: int = 4096,
         run_erc: bool = True,
         workers: int | str = 1,
-        executor: str = "auto",
         trace: Trace | None = None,
         on_error: str = robust.STRICT,
     ):
@@ -291,7 +289,6 @@ class TimingAnalyzer:
             max_paths=max_paths,
             tech=tech,
             workers=workers,
-            executor=executor,
             trace=self.trace,
             on_error=self.on_error,
         )
@@ -508,7 +505,6 @@ class TimingAnalyzer:
         *,
         top_k: int = 5,
         input_slew: float = DEFAULT_INPUT_SLEW,
-        parametric: bool | None = None,
     ):
         """Analyze the design under several (corner × clock) scenarios.
 
@@ -520,12 +516,11 @@ class TimingAnalyzer:
         ``TimingAnalyzer(netlist, tech=scenario.tech,
         clock=scenario.clock)`` analysis.
 
-        ``parametric`` selects the symbolic sweep path: the delay terms
-        are extracted once as analytic recipes
+        Where analytic delay terms are exact -- Elmore model under the
+        strict error policy -- they are extracted once
         (:mod:`repro.delay.parametric`) and each scenario merely
         *evaluates* them at its corner instead of re-walking the stage
-        trees.  The default (``None``) turns it on automatically when it
-        is exact -- Elmore model under the strict error policy.
+        trees; see :func:`repro.core.mcmm.term_source`.
 
         Returns a :class:`repro.core.mcmm.McmmResult`; see
         :func:`repro.core.mcmm.analyze_mcmm` for details.
@@ -538,7 +533,6 @@ class TimingAnalyzer:
             input_arrivals,
             top_k=top_k,
             input_slew=input_slew,
-            parametric=parametric,
         )
 
     def _scenario_analyzer(self, scenario, term_source=None) -> "TimingAnalyzer":

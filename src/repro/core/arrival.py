@@ -284,7 +284,3 @@ def _resweep(
     arrivals._map = amap
     arrivals.recomputed = recomputed
     return arrivals
-
-
-def _invert(transition: str) -> str:
-    return FALL if transition == RISE else RISE

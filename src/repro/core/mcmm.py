@@ -12,11 +12,14 @@ inference, stage decomposition, and the per-device structural facts are
 functions of the netlist *geometry* only, while a corner rescales
 resistances and capacitances uniformly.  So the structural phases run
 once (on the :class:`~repro.core.analyzer.TimingAnalyzer` that hosts the
-MCMM run) and each scenario re-evaluates only the numeric delay terms,
-via :meth:`StageDelayCalculator.retarget`.  When extraction is pooled,
-scenarios fan out across the *same* persistent worker pool -- tasks
-carry the corner, and workers retarget their fork-inherited snapshot --
-instead of forking one pool per corner.
+MCMM run) and each scenario gets a calculator retargeted to its corner
+(:meth:`StageDelayCalculator.retarget`).  Wherever analytic delay terms
+are exact -- the Elmore model under the strict error policy, with no
+deadline (:func:`term_source`) -- the arcs are extracted once as terms
+and every scenario only evaluates them at its corner; outside that
+envelope each scenario extracts concretely.  When extraction is pooled,
+it runs on the *same* persistent worker pool for every scenario instead
+of forking one pool per corner.
 
 The correctness anchor is **parity**: every scenario's
 :class:`~repro.core.analyzer.AnalysisResult` is byte-identical
@@ -53,6 +56,7 @@ __all__ = [
     "McmmResult",
     "analyze_mcmm",
     "corner_scenarios",
+    "term_source",
     "CORNER_NAMES",
 ]
 
@@ -329,6 +333,25 @@ def _node_arrivals(result) -> dict[str, float]:
     return out
 
 
+def term_source(analyzer, deadline: float | None = None):
+    """The symbolic calculator the corner siblings of ``analyzer`` evaluate.
+
+    Analytic delay terms (:mod:`repro.delay.parametric`) serve corners
+    wherever they are exact: the Elmore model under the strict error
+    policy.  A run with a ``deadline`` extracts concretely, because the
+    shared term source has no deadline of its own.  ``None`` elsewhere:
+    each sibling then extracts concretely at its corner.
+    """
+    calculator = analyzer.calculator
+    if (
+        deadline is None
+        and analyzer.on_error == robust.STRICT
+        and calculator.model == "elmore"
+    ):
+        return calculator.parametric_source()
+    return None
+
+
 def analyze_mcmm(
     analyzer,
     scenarios,
@@ -336,7 +359,6 @@ def analyze_mcmm(
     *,
     top_k: int = 5,
     input_slew: float | None = None,
-    parametric: bool | None = None,
 ) -> McmmResult:
     """Analyze ``analyzer``'s netlist under every scenario in one run.
 
@@ -352,17 +374,12 @@ def analyze_mcmm(
     names ``"slow"``/``"typ"``/``"fast"`` as shorthand for corners of
     the analyzer's technology); names must be unique.
 
-    ``parametric`` selects the symbolic sweep: the hosting analyzer's
+    Where :func:`term_source` finds terms exact, the hosting analyzer's
     calculator extracts each arc once as an analytic term over the
-    technology parameter vector (:mod:`repro.delay.parametric`), and
-    every scenario *evaluates* the terms at its corner instead of
-    re-walking the stage trees -- N corners cost one structural
-    extraction plus N evaluation passes.  ``None`` (the default)
-    enables it exactly when it is bit-exact: the Elmore delay model
-    under the strict error policy (the slope/lumped variants and the
-    quarantine paths never build terms).  Forcing ``parametric=True``
-    outside that envelope silently falls back to concrete extraction
-    per scenario (term evaluation returns no arcs).
+    technology parameter vector, and every scenario *evaluates* the
+    terms at its corner instead of re-walking the stage trees -- N
+    corners cost one structural extraction plus N evaluation passes.
+    Elsewhere every scenario extracts concretely at its corner.
 
     Trace counters: ``mcmm_scenarios`` counts evaluated scenarios while
     ``structural_runs`` stays at the hosting analyzer's single
@@ -381,19 +398,12 @@ def analyze_mcmm(
     names = [scen.name for scen in coerced]
     if len(set(names)) != len(names):
         raise TimingError(f"duplicate scenario names in {names}")
-    if parametric is None:
-        parametric = (
-            analyzer.calculator.model == "elmore"
-            and analyzer.on_error == robust.STRICT
-        )
-    term_source = (
-        analyzer.calculator.parametric_source() if parametric else None
-    )
+    source = term_source(analyzer)
     mcmm = McmmResult(
         netlist_name=analyzer.netlist.name, scenarios=coerced
     )
     for scen in coerced:
-        sibling = analyzer._scenario_analyzer(scen, term_source=term_source)
+        sibling = analyzer._scenario_analyzer(scen, term_source=source)
         analyzer.trace.incr("mcmm_scenarios")
         mcmm.results[scen.name] = sibling.analyze(
             input_arrivals, top_k=top_k, input_slew=input_slew

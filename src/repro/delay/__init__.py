@@ -10,9 +10,11 @@ Public surface:
 * :func:`device_resistance` -- role-aware effective resistance
 * :class:`StageDelayCalculator`, :class:`StageArc`, :class:`ArcTiming`,
   :data:`DELAY_MODELS` -- the stage timing-arc extractor
+  (:mod:`repro.delay.stage_delay`)
 * :func:`auto_workers`, :func:`parallel_crossover`,
   :func:`shutdown_pool`, :func:`pool_diagnostics`,
   :data:`WORKERS_AUTO` -- persistent extraction-pool controls
+  (:mod:`repro.delay.pool`)
 * :data:`PARAMETERS`, :func:`perturbed`, :func:`evaluate_arcs`,
   :func:`evaluate_timing` -- the parametric (symbolic) delay layer
 """
@@ -27,23 +29,25 @@ from .parametric import (
 )
 from .elmore import elmore_delay, lumped_delay
 from .penfield import PRBounds, pr_bounds, pr_moments
-from .rctree import RCTree
-from .slope import NO_SLOPE, SlopeModel
-from .stage_delay import (
-    DELAY_MODELS,
+from .pool import (
     PARALLEL_COLD_MIN_DEVICES,
     PARALLEL_MIN_DEVICES,
     WORKERS_AUTO,
-    ArcTiming,
-    StageArc,
-    StageContext,
-    StageDelayCalculator,
     auto_workers,
     available_cpus,
     parallel_crossover,
     install_sigterm_cleanup,
     pool_diagnostics,
     shutdown_pool,
+)
+from .rctree import RCTree
+from .slope import NO_SLOPE, SlopeModel
+from .stage_delay import (
+    DELAY_MODELS,
+    ArcTiming,
+    StageArc,
+    StageContext,
+    StageDelayCalculator,
 )
 
 __all__ = [

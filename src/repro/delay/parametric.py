@@ -225,8 +225,8 @@ def evaluate_timing(calc, stage, timing):
     result = _evaluate_timing(_StageEnv(calc, stage), timing)
     if result is _MISSING:
         raise ValueError(
-            "timing carries no parametric term; extract with "
-            "parametric=True first"
+            "timing carries no parametric term; extract it with the "
+            "calculator's parametric_source() first"
         )
     return result
 

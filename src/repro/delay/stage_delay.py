@@ -46,43 +46,16 @@ extractors; adjacency entries pre-resolve the per-device
 lookups (gate, one-hot group, flow legality, boundary-ness) so the
 path-search inner loops run on plain tuples.  Because stages are
 channel-connected components they are independent, and
-:meth:`StageDelayCalculator.all_arcs` can fan extraction out over a
-worker pool (``parallel=True`` / ``workers=N`` / ``workers="auto"``)
-with a deterministic stage-index merge order.
-
-The process flavour of that pool is **persistent**: one module-level
-fork pool (:data:`_POOL`) is started lazily and reused across
-``all_arcs`` calls, clock corners, and repeated runs of the same
-calculator, so the fork cost is paid once per calculator instead of once
-per sweep.  Workers attach the calculator -- netlist, stage graph, and
-warm per-device caches included -- as a **shared immutable snapshot**
-inherited by the fork at pool start; per-task traffic is only
-``(run token, corner, chunk of stage indices)`` down and compact arc
-tuples back (never the netlist, never dataclass pickles).  Stage batches
-are **sized by estimated device work** (device count squared, a proxy
-for the superlinear path-search cost) so one oversized stage -- e.g. a
-barrel-shifter matrix -- cannot serialize a whole chunk of small ones.
-``workers="auto"`` applies a measured **crossover heuristic** to the
-work the arc cache cannot serve (member devices of the uncached stages):
-serial below :data:`PARALLEL_MIN_DEVICES` (pool already warm) or
-:data:`PARALLEL_COLD_MIN_DEVICES` (pool must cold-start), and always
-serial on a single-CPU host.  :func:`shutdown_pool` (registered
-``atexit``) tears the pool down idempotently; a timed-out or broken pool
-is terminated -- never reused and never orphaned.  See
-``repro/bench/perf.py`` for the regression harness that gates these
-paths.
+:meth:`StageDelayCalculator.all_arcs` can fan extraction out over the
+fork pool of :mod:`repro.delay.pool` (``parallel=True`` /
+``workers=N`` / ``workers="auto"``) with a deterministic stage-index
+merge order.
 """
 
 from __future__ import annotations
 
-import atexit
-import concurrent.futures
 import itertools
 import math
-import multiprocessing
-import os
-import signal
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
@@ -98,6 +71,7 @@ from .elmore import elmore_delay, lumped_delay
 from .penfield import pr_bounds
 from .rctree import RCTree
 from .slope import SlopeModel
+from . import pool
 
 __all__ = [
     "ArcTiming",
@@ -105,14 +79,6 @@ __all__ = [
     "StageContext",
     "StageDelayCalculator",
     "DELAY_MODELS",
-    "PARALLEL_MIN_DEVICES",
-    "PARALLEL_COLD_MIN_DEVICES",
-    "WORKERS_AUTO",
-    "available_cpus",
-    "auto_workers",
-    "parallel_crossover",
-    "shutdown_pool",
-    "pool_diagnostics",
 ]
 
 DELAY_MODELS = ("elmore", "lumped", "pr-min", "pr-max")
@@ -120,101 +86,8 @@ DELAY_MODELS = ("elmore", "lumped", "pr-min", "pr-max")
 #: Crossing fraction for the 50% delay definition used throughout.
 _CROSSING = 0.5
 
-#: Crossover floor when the persistent pool is already **warm** for this
-#: calculator (or the executor is thread-based, which has no startup
-#: cost): when the stages a sweep must extract hold fewer member devices
-#: than this, ``all_arcs`` extracts serially -- dispatch and result
-#: traffic would dominate the work.  An explicit ``parallel=True``
-#: overrides it.
-PARALLEL_MIN_DEVICES = 1024
-
-#: Crossover floor when the pool would have to **cold-start** (fork the
-#: workers first): the fork of a large parent heap costs tens of
-#: milliseconds, so the uncached work must be big enough to amortize it.
-PARALLEL_COLD_MIN_DEVICES = 4096
-
-#: ``workers`` spec selecting the measured crossover heuristic: the pool
-#: width follows :func:`auto_workers` and the serial/parallel decision
-#: follows :func:`parallel_crossover`.
-WORKERS_AUTO = "auto"
-
-#: Load-balance oversubscription: aim for about this many chunks per
-#: worker so an unlucky chunk cannot idle the rest of the pool.
-_CHUNKS_PER_WORKER = 4
-
-#: Cap on ``workers="auto"`` resolution; beyond this the result-decode
-#: loop in the parent becomes the bottleneck.
-_AUTO_WORKERS_CAP = 8
-
 #: The cut set of a stage the sweep cuts nothing in.
 _NO_CUTS: frozenset[str] = frozenset()
-
-
-def available_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def auto_workers() -> int:
-    """Pool width ``workers="auto"`` resolves to on this host."""
-    return max(1, min(available_cpus(), _AUTO_WORKERS_CAP))
-
-
-def parallel_crossover(
-    device_count: int, *, pool_warm: bool, cpus: int | None = None
-) -> bool:
-    """True if a pooled sweep is expected to beat a serial one.
-
-    ``device_count`` is the work the sweep has left: the member devices
-    of the stages the arc cache cannot serve.  A cold sweep weighs the
-    whole design; a sweep after a one-device edit weighs the one or two
-    stages the edit invalidated.  Parallel extraction pays only on a
-    multi-CPU host, and only when that work is large enough to amortize
-    the pool traffic -- a higher bar (:data:`PARALLEL_COLD_MIN_DEVICES`)
-    when the workers would have to be forked first than when the pool is
-    already warm (:data:`PARALLEL_MIN_DEVICES`).  Thresholds were
-    measured with ``repro.bench.perf``; an explicit ``parallel=``
-    argument to :meth:`StageDelayCalculator.all_arcs` bypasses this
-    entirely.
-    """
-    cpus = available_cpus() if cpus is None else cpus
-    if cpus < 2:
-        return False
-    floor = PARALLEL_MIN_DEVICES if pool_warm else PARALLEL_COLD_MIN_DEVICES
-    return device_count >= floor
-
-
-def _validate_workers(spec) -> int | str:
-    """Validate a ``workers`` spec: positive int or ``"auto"``.
-
-    Rejects -- rather than silently clamping -- zero, negative, and
-    boolean specs.  ``workers=0`` used to mean 1, which hid caller bugs
-    (a miscomputed width quietly became serial), and ``workers=True``
-    is almost always a misplaced ``parallel=True``.
-    """
-    if isinstance(spec, bool):
-        raise StageError(
-            f"workers must be a positive integer or {WORKERS_AUTO!r}, got "
-            f"{spec!r} (did you mean all_arcs(parallel={spec!r})?)"
-        )
-    if spec == WORKERS_AUTO:
-        return WORKERS_AUTO
-    try:
-        value = int(spec)
-    except (TypeError, ValueError):
-        raise StageError(
-            f"workers must be a positive integer or {WORKERS_AUTO!r}, "
-            f"got {spec!r}"
-        ) from None
-    if value < 1:
-        raise StageError(
-            f"workers must be a positive integer or {WORKERS_AUTO!r}, "
-            f"got {spec!r}"
-        )
-    return value
 
 
 #: Monotonic identity for calculators; with the invalidation epoch it
@@ -382,15 +255,11 @@ class StageDelayCalculator:
     max_paths:
         Cap on simple-path enumeration per arc.
     workers:
-        Default fan-out width of :meth:`all_arcs`: an int (1 = serial)
-        or :data:`WORKERS_AUTO` (``"auto"``) to resolve the width from
-        the host CPU count and pick serial vs. parallel per sweep with
-        the :func:`parallel_crossover` heuristic.
-    executor:
-        ``"process"``, ``"thread"``, or ``"auto"`` (fork-based processes
-        where the platform has them, threads otherwise).  The process
-        flavour runs on the module's persistent pool (see
-        :func:`shutdown_pool`).
+        Default fan-out width of :meth:`all_arcs` over the persistent
+        fork pool (:mod:`repro.delay.pool`): an int (1 = serial) or
+        ``"auto"`` to resolve the width from the host CPU count and pick
+        serial vs. parallel per sweep with the
+        :func:`~repro.delay.pool.parallel_crossover` heuristic.
     trace:
         Optional :class:`repro.trace.Trace` receiving the supervision
         counters (``extract_retries``, ``extract_timeouts``,
@@ -421,7 +290,6 @@ class StageDelayCalculator:
         max_paths: int = 4096,
         tech: Technology | None = None,
         workers: int | str = 1,
-        executor: str = "auto",
         trace=None,
         on_error: str = robust.STRICT,
     ):
@@ -429,18 +297,13 @@ class StageDelayCalculator:
             raise StageError(
                 f"unknown delay model {model!r}; choose from {DELAY_MODELS}"
             )
-        if executor not in ("auto", "process", "thread"):
-            raise StageError(
-                f"unknown executor {executor!r}; choose auto/process/thread"
-            )
         self.netlist = netlist
         self.graph = graph
         self.model = model
         self.slope = slope if slope is not None else SlopeModel()
         self.max_paths = max_paths
         self.tech = tech or netlist.tech
-        self.workers = _validate_workers(workers)
-        self.executor = executor
+        self.workers = pool.validate_workers(workers)
         #: Persistent-pool binding: identity of this calculator plus an
         #: epoch bumped by :meth:`invalidate_devices`, so a forked worker
         #: snapshot is never reused after a device edit.
@@ -646,7 +509,7 @@ class StageDelayCalculator:
         corner-invariant, so a multi-corner sweep reuses **one** fixed
         pool instead of rebinding per corner -- workers receive the
         corner with each task and retarget their own snapshot
-        (see :func:`_pool_extract`).
+        (see :mod:`repro.delay.pool`).
 
         Because the clone runs the identical extraction code on the
         identical netlist, its results are byte-identical to a
@@ -660,7 +523,6 @@ class StageDelayCalculator:
             max_paths=self.max_paths,
             tech=tech,
             workers=self.workers,
-            executor=self.executor,
             trace=self.trace,
             on_error=self.on_error,
         )
@@ -738,19 +600,19 @@ class StageDelayCalculator:
     ) -> list[StageArc]:
         """Timing arcs of every non-quarantined stage in the graph.
 
-        ``parallel``/``workers`` control the fan-out: ``parallel=None``
-        (default) consults the :func:`parallel_crossover` heuristic --
+        ``parallel``/``workers`` control the fan-out over the fork pool
+        of :mod:`repro.delay.pool`: ``parallel=None`` (default) consults
+        its :func:`~repro.delay.pool.parallel_crossover` heuristic --
         the pool runs only when the resolved width exceeds 1, the host
-        has more than one CPU, and the member devices of the stages the
-        arc cache cannot serve clear the warm or cold floor
-        (:data:`PARALLEL_MIN_DEVICES` /
-        :data:`PARALLEL_COLD_MIN_DEVICES`).  A cold sweep weighs every
-        device; the sweep after a small edit weighs only the invalidated
-        stages, so it stays serial instead of re-forking the pool for
-        them.  ``workers`` may be an int
-        or ``"auto"`` (width from :func:`auto_workers`);
-        ``parallel=True`` forces the pool (bumping the width to at least
-        2); ``parallel=False`` forces the serial path.  The decision is
+        has more than one CPU and can fork, and the member devices of
+        the stages the arc cache cannot serve clear the warm or cold
+        floor.  A cold sweep weighs every device; the sweep after a
+        small edit weighs only the invalidated stages, so it stays
+        serial instead of re-forking the pool for them.  ``workers`` may
+        be an int or ``"auto"`` (width from
+        :func:`~repro.delay.pool.auto_workers`); ``parallel=True`` forces
+        the pool (bumping the width to at least 2); ``parallel=False``
+        forces the serial path.  The decision is
         visible as the ``extract_parallel_sweeps`` /
         ``extract_serial_sweeps`` trace counters.  Stages are
         channel-connected components, hence independent, and results are
@@ -765,20 +627,22 @@ class StageDelayCalculator:
         quarantined (with a diagnostic) under ``quarantine``/
         ``best-effort``.
         """
-        spec = self.workers if workers is None else _validate_workers(workers)
-        resolved = auto_workers() if spec == WORKERS_AUTO else spec
+        spec = (
+            self.workers if workers is None else pool.validate_workers(workers)
+        )
+        resolved = pool.auto_workers() if spec == pool.WORKERS_AUTO else spec
         if parallel is None:
-            use_pool = resolved > 1 and parallel_crossover(
+            use_pool = resolved > 1 and pool.parallel_crossover(
                 sum(
                     len(self.graph[index].device_names)
                     for index in self._uncached(active_clocks, open_gates)
                 ),
-                pool_warm=self._pool_is_warm(),
+                pool_warm=pool.warm_for(self),
             )
         else:
             use_pool = bool(parallel)
             if use_pool and resolved < 2:
-                resolved = max(2, available_cpus())
+                resolved = max(2, pool.available_cpus())
         if self._term_source is not None and use_pool:
             # Pooled symbolic sweep: the *source* extracts on the pool
             # (terms travel back over the wire); this calculator then
@@ -791,12 +655,20 @@ class StageDelayCalculator:
         self.trace.incr(
             "extract_parallel_sweeps" if use_pool else "extract_serial_sweeps"
         )
+        cut_map = self._cut_map(active_clocks, open_gates)
         if use_pool:
-            self._extract_parallel(active_clocks, open_gates, resolved)
+            delivered = pool.extract(
+                self,
+                self._uncached(active_clocks, open_gates),
+                active_clocks,
+                open_gates,
+                resolved,
+            )
+            for index, arcs in delivered.items():
+                self._arc_cache[(index, cut_map.get(index, _NO_CUTS))] = arcs
         result: list[StageArc] = []
         expired = False
         skipped = 0
-        cut_map = self._cut_map(active_clocks, open_gates)
         for stage in self.graph:
             if (
                 stage.index in self.quarantined
@@ -858,16 +730,6 @@ class StageDelayCalculator:
             )
         return result
 
-    # ------------------------------------------------------------------
-    # Parallel fan-out.
-    # ------------------------------------------------------------------
-    def _executor_kind(self) -> str:
-        if self.executor != "auto":
-            return self.executor
-        if "fork" in multiprocessing.get_all_start_methods():
-            return "process"
-        return "thread"
-
     def _uncached(
         self, active_clocks: frozenset[str] | None, open_gates: frozenset[str]
     ) -> list[int]:
@@ -880,241 +742,6 @@ class StageDelayCalculator:
             if stage.index not in self.quarantined
             and (stage.index, cut_map.get(stage.index, _NO_CUTS)) not in cache
         ]
-
-    def _pool_is_warm(self) -> bool:
-        """True if a pooled sweep would start with zero setup cost.
-
-        Thread pools have no meaningful startup, so they always count as
-        warm (this also preserves the historical crossover floor for the
-        thread executor); the process flavour is warm only while the
-        persistent pool holds live workers forked from *this*
-        calculator's current snapshot.
-        """
-        if self._executor_kind() == "thread":
-            return True
-        return _POOL.warm_for(self)
-
-    def _work_chunks(self, indices: list[int], workers: int) -> list[list[int]]:
-        """Batch stage indices into chunks of similar *estimated work*.
-
-        The estimate is the squared member-device count -- path
-        enumeration cost grows superlinearly with stage size, and the
-        square is enough to give an oversized stage (a shifter matrix, a
-        bus) its own chunk instead of letting it serialize a batch of
-        small ones.  Chunks keep stage order, so the parent's
-        cache-filling decode stays deterministic.
-        """
-        weights = [
-            (index, max(1, len(self.graph[index].device_names)) ** 2)
-            for index in indices
-        ]
-        total = sum(weight for _i, weight in weights)
-        budget = max(1.0, total / (workers * _CHUNKS_PER_WORKER))
-        chunks: list[list[int]] = []
-        current: list[int] = []
-        acc = 0.0
-        for index, weight in weights:
-            current.append(index)
-            acc += weight
-            if acc >= budget:
-                chunks.append(current)
-                current = []
-                acc = 0.0
-        if current:
-            chunks.append(current)
-        return chunks
-
-    def _extract_parallel(
-        self,
-        active_clocks: frozenset[str] | None,
-        open_gates: frozenset[str],
-        workers: int,
-    ) -> None:
-        """Populate the arc cache for uncached stages using a worker pool.
-
-        Only fills ``self._arc_cache``; the caller still walks the stages
-        in order, so the merged arc list is deterministic and identical to
-        serial extraction.  The pool is *supervised*: each task has a
-        timeout (``task_timeout``), failed or corrupt chunks are retried
-        with exponential backoff (``task_retries``/``retry_backoff``), and
-        whatever still failed after the last attempt falls back to the
-        serial path simply by leaving the cache unfilled.  A pool that
-        cannot start at all (no fork, pickling failure) degrades the same
-        way.  A ``KeyboardInterrupt`` mid-sweep tears the persistent pool
-        down (terminating live workers) before propagating, so Ctrl-C
-        never leaves orphans.
-        """
-        missing = self._uncached(active_clocks, open_gates)
-        if len(missing) < 2:
-            return
-        kind = self._executor_kind()
-        pending = self._work_chunks(missing, workers)
-        backoff = self.retry_backoff
-        try:
-            for attempt in range(self.task_retries + 1):
-                if not pending:
-                    return
-                if self._deadline_expired():
-                    # No time left for another pool attempt; the serial
-                    # walk will apply the deadline policy stage by stage.
-                    break
-                if attempt:
-                    self.trace.incr("extract_retries", len(pending))
-                    time.sleep(backoff)
-                    backoff *= 2
-                try:
-                    if kind == "process":
-                        pending = self._run_process_pool(
-                            pending, active_clocks, open_gates, workers
-                        )
-                    else:
-                        pending = self._run_thread_pool(
-                            pending, active_clocks, open_gates, workers
-                        )
-                except KeyboardInterrupt:
-                    raise
-                except Exception:
-                    # Pool could not start at all; nothing was extracted
-                    # this attempt, so every chunk is still pending.
-                    self.trace.incr("extract_pool_failures")
-        except KeyboardInterrupt:
-            shutdown_pool()
-            raise
-        if pending:
-            # Serial fallback: arcs() computes whatever the pool did not.
-            self.trace.incr(
-                "extract_fallback_stages", sum(len(c) for c in pending)
-            )
-
-    def _run_process_pool(
-        self, chunks, active_clocks, open_gates, workers
-    ) -> list[list[int]]:
-        """One supervised pool attempt; returns the chunks that failed.
-
-        Runs on the module's **persistent** fork pool: workers inherit
-        this calculator by memory copy at pool start (no netlist
-        pickling, and the child's str-hash seed -- hence every
-        set-iteration order -- matches the parent's, which keeps the
-        extracted arc lists bit-identical to serial extraction) and are
-        reused across sweeps, corners, and runs of the same calculator.
-        Per-task traffic is ``(run token, corner, chunk)`` down and
-        compact arc tuples back, decoded into the cache as each future
-        completes.  A timeout, a worker crash (``BrokenProcessPool``),
-        or a structurally corrupt return value marks the chunk failed
-        without touching the cache; a timed-out or broken pool is
-        *poisoned* -- terminated and discarded so the next attempt (or
-        the next sweep) cold-starts a clean one and no worker is ever
-        orphaned.
-        """
-        pool, warm = _POOL.acquire(self, workers)
-        self.trace.incr(
-            "extract_pool_reuses" if warm else "extract_pool_cold_starts"
-        )
-        run_token = _POOL.next_run_token()
-        cut_map = self._cut_map(active_clocks, open_gates)
-        failed: list[list[int]] = []
-        poisoned = False
-        try:
-            futures = [
-                (
-                    pool.submit(
-                        _pool_extract,
-                        run_token,
-                        self.tech,
-                        self.parametric,
-                        active_clocks,
-                        open_gates,
-                        chunk,
-                    ),
-                    chunk,
-                )
-                for chunk in chunks
-            ]
-            for future, chunk in futures:
-                timeout = self.task_timeout
-                if self.deadline is not None:
-                    remaining = self.deadline - time.monotonic()
-                    if remaining <= 0:
-                        # The request deadline passed mid-sweep: cancel
-                        # the pooled extraction instead of waiting it
-                        # out.  Unstarted tasks are dropped; a task
-                        # already running poisons the pool so its worker
-                        # is terminated, never orphaned.
-                        if not future.cancel():
-                            future.add_done_callback(_swallow_result)
-                            poisoned = True
-                        failed.append(chunk)
-                        continue
-                    timeout = min(timeout, remaining)
-                try:
-                    extracted = future.result(timeout=timeout)
-                except concurrent.futures.TimeoutError:
-                    self.trace.incr("extract_timeouts")
-                    future.add_done_callback(_swallow_result)
-                    failed.append(chunk)
-                    poisoned = True
-                    continue
-                except concurrent.futures.process.BrokenProcessPool:
-                    failed.append(chunk)
-                    poisoned = True
-                    continue
-                except Exception:
-                    # The task raised inside a healthy worker; the pool
-                    # stays warm for the retry.
-                    failed.append(chunk)
-                    continue
-                if not _valid_pool_result(extracted, chunk):
-                    self.trace.incr("extract_corrupt_results")
-                    failed.append(chunk)
-                    continue
-                for index, wire_arcs in extracted:
-                    self._arc_cache[
-                        (index, cut_map.get(index, _NO_CUTS))
-                    ] = _arcs_from_wire(index, wire_arcs)
-        except BaseException:
-            _POOL.discard()
-            raise
-        if poisoned:
-            # Hung or crashed workers: terminate them and never reuse
-            # this pool.  Retries (and later sweeps) start fresh.
-            _POOL.discard()
-        return failed
-
-    def _run_thread_pool(
-        self, chunks, active_clocks, open_gates, workers
-    ) -> list[list[int]]:
-        """One supervised thread-pool attempt; returns the failed chunks.
-
-        ``arcs()`` writes the cache itself; distinct stages mean distinct
-        keys, so concurrent writes never collide.  Threads cannot be
-        killed, but a timed-out chunk is still marked failed so the
-        caller retries or falls back while the straggler finishes in the
-        background.
-        """
-
-        def one(indices: list[int]) -> None:
-            for index in indices:
-                robust.fault_point("worker-task", index)
-                self.arcs(self.graph[index], active_clocks, open_gates)
-
-        failed: list[list[int]] = []
-        pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(workers, len(chunks))
-        )
-        try:
-            futures = [(pool.submit(one, chunk), chunk) for chunk in chunks]
-            for future, chunk in futures:
-                try:
-                    future.result(timeout=self.task_timeout)
-                except concurrent.futures.TimeoutError:
-                    self.trace.incr("extract_timeouts")
-                    future.add_done_callback(_swallow_result)
-                    failed.append(chunk)
-                except Exception:
-                    failed.append(chunk)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return failed
 
     def _clock_open(
         self,
@@ -1175,9 +802,7 @@ class StageDelayCalculator:
         """Ordinary logic arcs: a gate input switches, an output moves."""
         stage = ctx.stage
         pulled_up = ctx.pulled_up
-        fall_edges = ctx.conduction_edges(FALL)
         fall_adjacency = ctx.conduction_adjacency(FALL)
-        rise_pass_edges = ctx.pass_edges(RISE)
         rise_adjacency = ctx.pass_adjacency(RISE)
 
         # Triggers: external gate inputs, plus *stage outputs* gating member
@@ -1198,12 +823,8 @@ class StageDelayCalculator:
             # One enumeration serves every trigger: the DFS records, for
             # each gate appearing on a discharge path, the worst path that
             # includes a device it gates.
-            fall_by_gate = self._worst_fall_by_gate(
-                output, fall_edges, fall_adjacency
-            )
-            rise = self._rise_via_pullup(
-                ctx, output, pulled_up, rise_pass_edges, rise_adjacency
-            )
+            fall_by_gate = self._worst_fall_by_gate(output, fall_adjacency)
+            rise = self._rise_via_pullup(output, pulled_up, rise_adjacency)
             for trigger in triggers:
                 fall = fall_by_gate.get(trigger)
                 if fall is None:
@@ -1229,10 +850,7 @@ class StageDelayCalculator:
         return arcs
 
     def _worst_fall_by_gate(
-        self,
-        output: str,
-        fall_edges: list[tuple[str, str, float, str]],
-        adjacency: dict,
+        self, output: str, adjacency: dict
     ) -> dict[str, ArcTiming]:
         """Worst discharge path per triggering gate, in one enumeration.
 
@@ -1324,11 +942,7 @@ class StageDelayCalculator:
                     for (a, b, r, name) in reversed(path_edges)
                 ]
                 timing = self._timing_from_spine(
-                    spine,
-                    output,
-                    fall_edges,
-                    adjacency=adjacency,
-                    transition=FALL,
+                    spine, output, adjacency=adjacency, transition=FALL
                 )
                 if truncated and not timing.truncated:
                     timing = _mark_truncated(timing)
@@ -1344,8 +958,6 @@ class StageDelayCalculator:
         """
         stage = ctx.stage
         arcs = []
-        pass_rise = ctx.pass_edges(RISE)
-        pass_fall = ctx.pass_edges(FALL)
         rise_adjacency = ctx.pass_adjacency(RISE)
         fall_adjacency = ctx.pass_adjacency(FALL)
         for dev in ctx.devices:
@@ -1365,7 +977,6 @@ class StageDelayCalculator:
                 rise = self._worst_tree_delay(
                     start=output,
                     targets={source_side},
-                    edges=pass_rise,
                     must_include={dev.name},
                     adjacency=rise_adjacency,
                     transition=RISE,
@@ -1373,7 +984,6 @@ class StageDelayCalculator:
                 fall = self._worst_tree_delay(
                     start=output,
                     targets={source_side},
-                    edges=pass_fall,
                     must_include={dev.name},
                     adjacency=fall_adjacency,
                     transition=FALL,
@@ -1421,14 +1031,12 @@ class StageDelayCalculator:
                 and d.name != dev.name
             }
             if siblings:
-                filtered_edges = [
+                filtered_adjacency = self._build_adjacency([
                     e
                     for e in pass_rise
                     if e[0] not in siblings and e[1] not in siblings
-                ]
-                filtered_adjacency = None
+                ])
             else:
-                filtered_edges = pass_rise
                 filtered_adjacency = ctx.pass_adjacency(RISE)
             r_pre = device_resistance(self.tech, dev, "precharge", RISE)
             outputs = stage.outputs | ({node} & stage.nodes)
@@ -1441,7 +1049,6 @@ class StageDelayCalculator:
                     tail = self._worst_path(
                         start=output,
                         targets={node},
-                        edges=filtered_edges,
                         must_include=set(),
                         adjacency=filtered_adjacency,
                     )
@@ -1456,7 +1063,6 @@ class StageDelayCalculator:
                 timing = self._timing_from_spine(
                     spine,
                     output,
-                    ctx.conduction_edges(RISE),
                     adjacency=ctx.conduction_adjacency(RISE),
                     transition=RISE,
                 )
@@ -1482,7 +1088,6 @@ class StageDelayCalculator:
         """
         stage = ctx.stage
         arcs = []
-        pass_rise = ctx.pass_edges(RISE)
         rise_adjacency = ctx.pass_adjacency(RISE)
         for dev in ctx.devices:
             if dev.kind is not DeviceKind.DEP or dev.is_load:
@@ -1498,7 +1103,6 @@ class StageDelayCalculator:
                     tail = self._worst_path(
                         start=output,
                         targets={node},
-                        edges=pass_rise,
                         must_include=set(),
                         adjacency=rise_adjacency,
                     )
@@ -1511,8 +1115,7 @@ class StageDelayCalculator:
                         for (a, b, r, name) in reversed(path_edges)
                     )
                 timing = self._timing_from_spine(
-                    spine, output, pass_rise, adjacency=rise_adjacency,
-                    transition=RISE,
+                    spine, output, adjacency=rise_adjacency, transition=RISE
                 )
                 arcs.append(
                     StageArc(
@@ -1556,8 +1159,6 @@ class StageDelayCalculator:
         ]
         if not pass_devices:
             return []
-        pass_rise = ctx.pass_edges(RISE)
-        pass_fall = ctx.pass_edges(FALL)
         rise_adjacency = ctx.pass_adjacency(RISE)
         fall_adjacency = ctx.pass_adjacency(FALL)
         pulled_up = ctx.pulled_up
@@ -1579,7 +1180,6 @@ class StageDelayCalculator:
                 rise = self._worst_tree_delay(
                     start=output,
                     targets=targets,
-                    edges=pass_rise,
                     must_include=gated,
                     adjacency=rise_adjacency,
                     transition=RISE,
@@ -1587,7 +1187,6 @@ class StageDelayCalculator:
                 fall = self._worst_tree_delay(
                     start=output,
                     targets=targets,
-                    edges=pass_fall,
                     must_include=gated,
                     adjacency=fall_adjacency,
                     transition=FALL,
@@ -1611,8 +1210,6 @@ class StageDelayCalculator:
         """Signal injected at an externally driven boundary channel node."""
         stage = ctx.stage
         arcs = []
-        pass_rise = ctx.pass_edges(RISE)
-        pass_fall = ctx.pass_edges(FALL)
         rise_adjacency = ctx.pass_adjacency(RISE)
         fall_adjacency = ctx.pass_adjacency(FALL)
         for boundary in stage.boundary:
@@ -1630,7 +1227,6 @@ class StageDelayCalculator:
                 rise = self._worst_tree_delay(
                     start=output,
                     targets={boundary},
-                    edges=pass_rise,
                     must_include=set(),
                     adjacency=rise_adjacency,
                     transition=RISE,
@@ -1638,7 +1234,6 @@ class StageDelayCalculator:
                 fall = self._worst_tree_delay(
                     start=output,
                     targets={boundary},
-                    edges=pass_fall,
                     must_include=set(),
                     adjacency=fall_adjacency,
                     transition=FALL,
@@ -1817,31 +1412,18 @@ class StageDelayCalculator:
             )
         return adjacency
 
-    def _conducts_toward(self, name: str, from_node: str, to_node: str) -> bool:
-        """True if device ``name`` can carry signal ``from_node -> to_node``.
-
-        Unresolved (UNKNOWN) devices are treated as bidirectional -- the
-        calculator must stay usable before flow inference has run.
-        """
-        dev = self.netlist.device(name)
-        if dev.flow is FlowDirection.UNKNOWN:
-            return True
-        return dev.flows_out_of(from_node)
-
     def _worst_path(
         self,
         start: str,
         targets: set[str],
-        edges: list[tuple[str, str, float, str]],
         must_include: set[str],
-        *,
-        respect_flow: bool = True,
-        adjacency: dict | None = None,
+        adjacency: dict,
     ) -> tuple[list[tuple[str, str, float, str]], bool] | None:
         """Maximum-resistance flow-consistent path from ``start`` to a target.
 
-        Edges are ``(a, b, r, device_name)``; the path must use at least one
-        device from ``must_include`` (if non-empty).  The search walks
+        ``adjacency`` is a :meth:`_build_adjacency` map of the usable
+        edges; the path must use at least one device from
+        ``must_include`` (if non-empty).  The search walks
         *backward* from the measured output toward the driving point, so a
         hop from ``node`` to ``neighbor`` requires the device to conduct
         signal ``neighbor -> node``; this is what prevents physically
@@ -1849,11 +1431,10 @@ class StageDelayCalculator:
         One-hot assertions (:meth:`Netlist.add_exclusive_group`) prune
         paths that would need two mutually exclusive switches closed.
 
-        Returns the edge list ordered from ``start`` toward the target and
-        a truncation flag, or None if no qualifying path exists.
+        Returns the edge list ``(a, b, r, device_name)`` ordered from
+        ``start`` toward the target and a truncation flag, or None if no
+        qualifying path exists.
         """
-        if adjacency is None:
-            adjacency = self._build_adjacency(edges)
         if start not in adjacency:
             return None
 
@@ -1890,7 +1471,7 @@ class StageDelayCalculator:
                     continue
                 if neighbor_boundary and neighbor not in targets:
                     continue
-                if respect_flow and not in_ok:
+                if not in_ok:
                     continue
                 if group is not None:
                     used = groups_used.get(group)
@@ -1918,11 +1499,10 @@ class StageDelayCalculator:
         self,
         start: str,
         targets: set[str],
-        edges: list[tuple[str, str, float, str]],
         must_include: set[str],
         *,
-        adjacency: dict | None = None,
-        transition: str | None = None,
+        adjacency: dict,
+        transition: str,
     ) -> ArcTiming | None:
         """Worst path from ``start`` back to a target, evaluated as a tree.
 
@@ -1931,9 +1511,7 @@ class StageDelayCalculator:
         other conducting edge hangs capacitive branches.  ``transition``
         names the edge set's transition for parametric term building.
         """
-        found = self._worst_path(
-            start, targets, edges, must_include, adjacency=adjacency
-        )
+        found = self._worst_path(start, targets, must_include, adjacency)
         if found is None:
             return None
         path_edges, truncated = found
@@ -1942,7 +1520,7 @@ class StageDelayCalculator:
             (b, a, r, name) for (a, b, r, name) in reversed(path_edges)
         ]
         timing = self._timing_from_spine(
-            spine, start, edges, adjacency=adjacency, transition=transition
+            spine, start, adjacency=adjacency, transition=transition
         )
         if truncated and not timing.truncated:
             timing = _mark_truncated(timing)
@@ -1992,19 +1570,18 @@ class StageDelayCalculator:
         self,
         spine: list[tuple[str, str, float, str]],
         output: str,
-        branch_edges: list[tuple[str, str, float, str]],
         *,
-        adjacency: dict | None = None,
-        transition: str | None = None,
+        adjacency: dict,
+        transition: str,
     ) -> ArcTiming:
         """Evaluate the configured delay metric for a spine's RC tree.
 
         The spine is the resistive path from the driving point (``root``,
         the first spine node) to ``output``; every other conducting edge
-        hangs a capacitive branch.  Branch traversal follows signal flow
-        outward from the spine, never crosses rails or boundary nodes
-        (incompressible sources), and honours one-hot assertions against
-        the gates used on the spine.
+        of ``adjacency`` hangs a capacitive branch.  Branch traversal
+        follows signal flow outward from the spine, never crosses rails
+        or boundary nodes (incompressible sources), and honours one-hot
+        assertions against the gates used on the spine.
 
         For the default Elmore model the metric is folded into the tree
         walk itself (no tree object): every spine node lies on the
@@ -2014,19 +1591,17 @@ class StageDelayCalculator:
         :class:`RCTree` path below, so the two produce bit-identical
         delays.
 
-        With ``self.parametric`` set (and ``transition`` provided by the
-        caller -- the transition of the edge set the spine came from),
-        the walk additionally records a replayable term: the spine
+        With ``self.parametric`` set, the walk additionally records a
+        replayable term (``transition`` is the transition of the edge
+        set the spine came from): the spine
         resistances as symbolic atoms (:meth:`_edge_recipe`) and every
         visited node's prefix index, in visit order, so
         :mod:`repro.delay.parametric` can re-run the identical
         arithmetic at any technology point.
         """
         if self.model != "elmore":
-            return self._timing_from_spine_tree(
-                spine, output, branch_edges, adjacency=adjacency
-            )
-        build_term = self.parametric and transition is not None
+            return self._timing_from_spine_tree(spine, output, adjacency)
+        build_term = self.parametric
         root = spine[0][0]
         node_cap = self._node_cap
         used_devices = []
@@ -2057,8 +1632,6 @@ class StageDelayCalculator:
         r_output = r_root
 
         spine_groups = self._spine_groups(spine)
-        if adjacency is None:
-            adjacency = self._build_adjacency(branch_edges)
         frontier = deque(child for _p, child, _r, _n in spine)
         while frontier:
             current = frontier.popleft()
@@ -2111,9 +1684,7 @@ class StageDelayCalculator:
         self,
         spine: list[tuple[str, str, float, str]],
         output: str,
-        branch_edges: list[tuple[str, str, float, str]],
-        *,
-        adjacency: dict | None = None,
+        adjacency: dict,
     ) -> ArcTiming:
         """General-model path: build the RC tree explicitly, then evaluate."""
         root = spine[0][0]
@@ -2124,8 +1695,6 @@ class StageDelayCalculator:
             used_devices.append(name)
 
         spine_groups = self._spine_groups(spine)
-        if adjacency is None:
-            adjacency = self._build_adjacency(branch_edges)
         frontier = deque(child for _p, child, _r, _n in spine)
         while frontier:
             current = frontier.popleft()
@@ -2206,12 +1775,7 @@ class StageDelayCalculator:
         return cached
 
     def _rise_via_pullup(
-        self,
-        ctx: StageContext,
-        output: str,
-        pulled_up: dict[str, float],
-        pass_edges: list[tuple[str, str, float, str]],
-        adjacency: dict,
+        self, output: str, pulled_up: dict[str, float], adjacency: dict
     ) -> ArcTiming | None:
         """Worst rise of ``output``: vdd -> load -> pass path -> output."""
         best: ArcTiming | None = None
@@ -2222,7 +1786,6 @@ class StageDelayCalculator:
                 tail = self._worst_path(
                     start=output,
                     targets={node},
-                    edges=pass_edges,
                     must_include=set(),
                     adjacency=adjacency,
                 )
@@ -2234,8 +1797,7 @@ class StageDelayCalculator:
                     (b, a, r, name) for (a, b, r, name) in reversed(path_edges)
                 )
             timing = self._timing_from_spine(
-                spine, output, pass_edges, adjacency=adjacency,
-                transition=RISE,
+                spine, output, adjacency=adjacency, transition=RISE
             )
             # _worse keeps the incumbent on ties, exactly like the
             # strict `>` comparison this replaces, and wraps the terms
@@ -2257,358 +1819,6 @@ class StageDelayCalculator:
             ):
                 return terminal
         return dev.source
-
-
-# ----------------------------------------------------------------------
-# Persistent process-pool plumbing.  One module-level fork pool is
-# lazily started on the first parallel sweep and *reused* across
-# ``all_arcs`` calls, clock corners, and repeated runs of the same
-# calculator, so fork+import cost is paid once instead of per sweep.
-# With a fork start method the initializer's calculator argument is
-# inherited by memory copy (never pickled); per-task traffic is only
-# the chunk's stage indices down and compact arc tuples back.  The pool
-# is keyed on ``(calculator token, invalidation epoch)`` -- a different
-# calculator, or a device edit on the same one, rebinds it to a fresh
-# snapshot automatically.
-# ----------------------------------------------------------------------
-
-
-class _PersistentPool:
-    """Owner of the module's single reusable extraction pool.
-
-    This is a **bounded registry of capacity one**: ``acquire`` hands
-    back a live executor bound to the requesting calculator's current
-    snapshot, and when a *different* calculator (or a wider width)
-    binds, the previous pool is evicted -- shut down and its workers
-    terminated -- before the new one starts, so a sweep over many
-    calculators can never accumulate one forked pool per calculator
-    with only atexit cleanup.  ``discard`` poisons the pool the same
-    way, so hung or crashed workers are never reused and never
-    orphaned.  ``pools_started``/``pools_evicted`` in
-    :meth:`diagnostics` audit this invariant: their difference is the
-    number of live pools, which never exceeds one.
-
-    All mutation happens in the owning parent process: a forked child
-    inherits the bookkeeping by memory copy but the owner-pid guard
-    turns its ``discard`` into a reference drop, so a worker can never
-    tear down its parent's executor.
-    """
-
-    def __init__(self) -> None:
-        self._executor: concurrent.futures.ProcessPoolExecutor | None = None
-        self._binding: tuple[int, int] | None = None
-        self._max_workers = 0
-        self._owner_pid: int | None = None
-        self._runs = itertools.count(1)
-        self._started = 0
-        self._evicted = 0
-
-    def warm_for(self, calc: "StageDelayCalculator") -> bool:
-        """True if a sweep for ``calc`` would reuse live workers."""
-        return (
-            self._executor is not None
-            and self._owner_pid == os.getpid()
-            and self._binding == (calc._pool_token, calc._pool_epoch)
-        )
-
-    def acquire(
-        self, calc: "StageDelayCalculator", workers: int
-    ) -> tuple[concurrent.futures.ProcessPoolExecutor, bool]:
-        """A live executor for ``calc``; second element is ``warm``."""
-        if self.warm_for(calc) and self._max_workers >= workers:
-            return self._executor, True
-        self.discard()
-        self._executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_pool_init,
-            initargs=(calc,),
-        )
-        self._binding = (calc._pool_token, calc._pool_epoch)
-        self._max_workers = workers
-        self._owner_pid = os.getpid()
-        self._started += 1
-        return self._executor, False
-
-    def next_run_token(self) -> int:
-        """Fresh token marking one pooled sweep (workers drop stale
-        per-corner arcs when it changes)."""
-        return next(self._runs)
-
-    def discard(self) -> None:
-        """Terminate and forget the pool.  Idempotent, parent-only.
-
-        Never blocks on a hung worker: outstanding work is abandoned and
-        any process still alive is killed, so injected hangs cannot
-        stall interpreter shutdown and no worker outlives the pool.
-        """
-        executor, self._executor = self._executor, None
-        owner, self._owner_pid = self._owner_pid, None
-        self._binding = None
-        self._max_workers = 0
-        if executor is None or owner != os.getpid():
-            # A forked child inherits a *reference* to the parent's
-            # executor; dropping it is all a child may ever do.
-            return
-        procs = list((getattr(executor, "_processes", None) or {}).values())
-        executor.shutdown(wait=False, cancel_futures=True)
-        # SIGKILL, not SIGTERM: a worker forked moments before can lose a
-        # SIGTERM (the interpreter clears pending signals right after
-        # fork) and would then wait on the call queue for good.
-        for proc in procs:
-            if proc.is_alive():
-                proc.kill()
-        self._evicted += 1
-
-    def diagnostics(self) -> dict:
-        """JSON-friendly snapshot of the pool state (tests, bench).
-
-        ``pools_started - pools_evicted`` counts the pools currently
-        alive in this process; the capacity-one registry keeps it at 0
-        or 1 -- a multi-calculator (e.g. multi-corner) sweep can never
-        leave more than one pool behind.
-        """
-        return {
-            "live": self._executor is not None,
-            "max_workers": self._max_workers,
-            "owner_pid": self._owner_pid,
-            "binding": list(self._binding) if self._binding else None,
-            "pools_started": self._started,
-            "pools_evicted": self._evicted,
-        }
-
-
-_POOL = _PersistentPool()
-
-
-def shutdown_pool() -> None:
-    """Terminate the persistent extraction pool, if any.
-
-    Idempotent and registered with :mod:`atexit`, so interpreter exit --
-    including an exit forced by ``KeyboardInterrupt`` -- always reaps
-    the workers.  Safe to call at any time; the next parallel sweep
-    simply cold-starts a fresh pool.
-    """
-    _POOL.discard()
-
-
-atexit.register(shutdown_pool)
-
-
-def install_sigterm_cleanup() -> bool:
-    """Make SIGTERM reap the persistent pool before the process dies.
-
-    atexit covers normal interpreter exit and ``KeyboardInterrupt``, but a
-    containerized run is stopped with SIGTERM, whose default disposition
-    kills the process *without* running atexit hooks -- leaking fork-pool
-    workers as orphans.  This installs a handler that shuts the pool down,
-    restores the default disposition, and re-raises the signal against the
-    process itself so the observed exit status stays ``128 + SIGTERM``.
-
-    Installed at import time, but only when it cannot stomp on anyone
-    else: the handler goes in solely if the current disposition is the
-    default one and we are on the main thread (signal handlers cannot be
-    set elsewhere).  Returns ``True`` if the handler was installed.
-    Applications that set their own SIGTERM handler (e.g. ``repro
-    serve``) are responsible for calling :func:`shutdown_pool` in it.
-    """
-    if threading.current_thread() is not threading.main_thread():
-        return False
-    try:
-        current = signal.getsignal(signal.SIGTERM)
-    except (ValueError, AttributeError):  # pragma: no cover - exotic host
-        return False
-    if current is not signal.SIG_DFL:
-        return False
-
-    def _on_sigterm(signum, frame):  # pragma: no cover - exercised in a
-        # subprocess by tests/test_serve_faults.py (coverage can't see it)
-        shutdown_pool()
-        signal.signal(signum, signal.SIG_DFL)
-        os.kill(os.getpid(), signum)
-
-    try:
-        signal.signal(signal.SIGTERM, _on_sigterm)
-    except (ValueError, OSError):  # pragma: no cover - non-main interp
-        return False
-    return True
-
-
-install_sigterm_cleanup()
-
-
-def pool_diagnostics() -> dict:
-    """Snapshot of the persistent pool (liveness, width, owner, binding)."""
-    return _POOL.diagnostics()
-
-
-#: Worker-side state: the fork-inherited calculator snapshot, per-corner
-#: retargeted views of it, and the run token of the sweep the worker
-#: last extracted for.
-_POOL_CALC: "StageDelayCalculator | None" = None
-_POOL_RETARGETED: "dict[tuple[Technology, bool], StageDelayCalculator]" = {}
-_POOL_RUN_TOKEN: int | None = None
-
-
-def _pool_init(calc: "StageDelayCalculator") -> None:
-    """Adopt the fork-inherited calculator snapshot (once per worker).
-
-    The netlist, stage graph, and warm per-device caches arrive by fork
-    memory copy -- nothing is pickled -- and because the child shares
-    the parent's str-hash seed, every set-iteration order matches the
-    parent's, keeping extracted arc lists bit-identical to serial
-    extraction.  The inherited pool bookkeeping is dropped so a worker
-    can never touch its parent's executor.
-    """
-    global _POOL_CALC, _POOL_RUN_TOKEN
-    _POOL_CALC = calc
-    _POOL_RETARGETED.clear()
-    _POOL_RUN_TOKEN = None
-    _POOL.discard()  # child side: reference drop only (owner-pid guard)
-
-
-def _pool_calc_for(
-    tech: Technology, parametric: bool
-) -> "StageDelayCalculator":
-    """The worker's calculator view for ``(tech, parametric)``.
-
-    An MCMM sweep fans scenarios over one fixed pool; the fork snapshot
-    holds the *base* corner, and other corners (or the symbolic flavour
-    of the base corner) are served by retargeted views built on first
-    use (sharing the snapshot's structural facts) and kept for the rest
-    of the pool's life -- each keeps its own corner-specific delay
-    caches warm across sweeps.
-    """
-    calc = _POOL_CALC
-    assert calc is not None
-    if tech == calc.tech and parametric == calc.parametric:
-        return calc
-    key = (tech, parametric)
-    view = _POOL_RETARGETED.get(key)
-    if view is None:
-        view = calc.retarget(tech)
-        view.parametric = parametric
-        _POOL_RETARGETED[key] = view
-    return view
-
-
-def _pool_extract(
-    run_token: int,
-    tech: Technology,
-    parametric: bool,
-    active_clocks: frozenset[str] | None,
-    open_gates: frozenset[str],
-    indices: list[int],
-) -> list[tuple[int, list[tuple]]]:
-    # The fault points are no-ops in production; the testing harness uses
-    # them to crash/hang this worker or corrupt its return value (fork
-    # workers inherit the installed handler by memory copy).
-    global _POOL_RUN_TOKEN
-    if run_token != _POOL_RUN_TOKEN:
-        # New sweep: drop arcs cached by earlier sweeps so repeated
-        # measurements do honest work.  Device facts and node-cap caches
-        # persist -- amortizing those is the pool's entire point.
-        assert _POOL_CALC is not None
-        _POOL_CALC._arc_cache.clear()
-        for view in _POOL_RETARGETED.values():
-            view._arc_cache.clear()
-        _POOL_RUN_TOKEN = run_token
-    calc = _pool_calc_for(tech, parametric)
-    out = []
-    for index in indices:
-        robust.fault_point("worker-task", index)
-        arcs = calc.arcs(calc.graph[index], active_clocks, open_gates)
-        out.append((index, _arcs_to_wire(arcs)))
-    return robust.fault_point("worker-result", out)
-
-
-def _timing_to_wire(timing: ArcTiming | None) -> tuple | None:
-    return (
-        None
-        if timing is None
-        else (
-            timing.delay,
-            timing.tau,
-            timing.path,
-            timing.truncated,
-            timing.term,
-        )
-    )
-
-
-def _timing_from_wire(wire: tuple | None) -> ArcTiming | None:
-    if wire is None:
-        return None
-    delay, tau, path, truncated, term = wire
-    return ArcTiming(
-        delay=delay, tau=tau, path=path, truncated=truncated, term=term
-    )
-
-
-def _arcs_to_wire(arcs: list[StageArc]) -> list[tuple]:
-    """Compact cross-process encoding: plain tuples, no dataclass pickles."""
-    return [
-        (
-            arc.trigger,
-            arc.via,
-            arc.output,
-            arc.inverting,
-            _timing_to_wire(arc.rise),
-            _timing_to_wire(arc.fall),
-        )
-        for arc in arcs
-    ]
-
-
-def _arcs_from_wire(index: int, wire_arcs: list[tuple]) -> list[StageArc]:
-    return [
-        StageArc(
-            stage_index=index,
-            trigger=trigger,
-            via=via,
-            output=output,
-            inverting=inverting,
-            rise=_timing_from_wire(rise),
-            fall=_timing_from_wire(fall),
-        )
-        for trigger, via, output, inverting, rise, fall in wire_arcs
-    ]
-
-
-def _valid_pool_result(extracted, chunk) -> bool:
-    """Structural corrupt-return detection for one pool chunk.
-
-    The parent only trusts a worker return that is exactly a list of
-    ``(requested stage index, list of 6-tuple wire arcs)`` pairs covering
-    the chunk; anything else is discarded (and retried) rather than
-    poisoning the arc cache -- the cache must stay bit-identical to
-    serial extraction.
-    """
-    if not isinstance(extracted, list) or len(extracted) != len(chunk):
-        return False
-    expected = set(chunk)
-    for item in extracted:
-        if not (isinstance(item, tuple) and len(item) == 2):
-            return False
-        index, wire_arcs = item
-        if index not in expected:
-            return False
-        if not isinstance(wire_arcs, list):
-            return False
-        if not all(
-            isinstance(wire, tuple) and len(wire) == 6
-            for wire in wire_arcs
-        ):
-            return False
-    return True
-
-
-def _swallow_result(future) -> None:
-    """Retrieve an abandoned future's outcome so it is never logged."""
-    try:
-        future.exception()
-    except Exception:
-        pass
 
 
 def _merge_arcs(arcs: list[StageArc]) -> list[StageArc]:

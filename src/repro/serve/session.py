@@ -32,10 +32,11 @@ session, not the request.
 Per-request corners: ``corner`` retargets a query to another technology
 point (a corner shorthand like ``"slow"`` or a full parameter dict)
 without reloading the design.  Cache keys include the resolved
-parameter point, and under the strict Elmore configuration the corner
-run *evaluates* the session's parametric delay terms
-(:mod:`repro.delay.parametric`) instead of re-extracting -- a warm
-what-if costs one evaluation pass.
+parameter point, and wherever MCMM would evaluate terms
+(:func:`repro.core.mcmm.term_source`: the Elmore model, strict policy,
+no deadline) the corner run *evaluates* the session's parametric delay
+terms (:mod:`repro.delay.parametric`) instead of re-extracting -- a
+warm what-if costs one evaluation pass.
 
 Durability: with a :class:`~repro.serve.journal.DesignJournal` attached,
 every applied delta is appended (checksummed, ``fsync``'d) *before* the
@@ -280,21 +281,11 @@ class DesignSession:
         with self._policy(policy):
             engine = self.analyzer
             if corner is not None:
-                from ..core.mcmm import Scenario
+                from ..core.mcmm import Scenario, term_source
 
-                # Strict Elmore with no deadline is the envelope in which
-                # parametric term evaluation is exact; elsewhere the
-                # sibling extracts concretely at its corner.
-                term_source = None
-                if (
-                    deadline is None
-                    and engine.on_error == robust.STRICT
-                    and self.model == "elmore"
-                ):
-                    term_source = engine.calculator.parametric_source()
                 engine = self.analyzer._scenario_analyzer(
                     Scenario(name="corner", tech=corner),
-                    term_source=term_source,
+                    term_source=term_source(engine, deadline),
                 )
             result = engine.analyze(
                 input_arrivals=input_arrivals,

@@ -6,6 +6,8 @@ import pytest
 
 from repro import Netlist
 from repro.circuits import add_inverter, add_pass
+from repro.delay import pool, shutdown_pool
+from repro.trace import Trace
 
 
 @pytest.fixture
@@ -55,3 +57,24 @@ def pass_mux_net() -> Netlist:
     add_inverter(net, "y", "out", tag="i2")
     net.set_output("out")
     return net
+
+
+@pytest.fixture
+def forced_pool(monkeypatch):
+    """Make even a 6-device inverter take the pooled extraction path.
+
+    Patches the crossover where :mod:`repro.delay.pool` reads it and
+    yields the :class:`~repro.trace.Trace` to analyze with.  Afterwards
+    the pool is reaped, and some sweep must really have taken it
+    (``extract_parallel_sweeps``), so a patch that misses its reader
+    cannot pass serially.
+    """
+    monkeypatch.setattr(pool, "PARALLEL_MIN_DEVICES", 0)
+    monkeypatch.setattr(pool, "PARALLEL_COLD_MIN_DEVICES", 0)
+    monkeypatch.setattr(pool, "available_cpus", lambda: 2)
+    trace = Trace()
+    yield trace
+    shutdown_pool()
+    assert trace.counters.get("extract_parallel_sweeps", 0) > 0, (
+        "no sweep took the forced pool"
+    )

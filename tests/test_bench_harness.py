@@ -9,6 +9,7 @@ from repro.bench import (
     percent_error,
     timed_analysis,
 )
+from repro.bench.harness import speed_gate
 from repro.circuits import inverter_chain
 from repro.sim import TransientOptions
 
@@ -67,3 +68,19 @@ class TestSeries:
         text = series.format()
         assert "series: s" in text
         assert "10" in text and "20" in text
+
+
+class TestSpeedGate:
+    def test_applies_with_two_cpus(self):
+        gate = speed_gate(1.4, 1.0, {"affinity_cpus": 2})
+        assert gate == {
+            "applied": True,
+            "required": 1.0,
+            "measured": 1.4,
+            "skip_reason": None,
+        }
+
+    def test_one_cpu_records_a_skip(self):
+        gate = speed_gate(0.9, 1.0, {"affinity_cpus": 1})
+        assert gate["applied"] is False and gate["measured"] == 0.9
+        assert "1 usable CPU" in gate["skip_reason"]

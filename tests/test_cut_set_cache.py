@@ -24,7 +24,7 @@ from repro.bench.perf import parity_circuits
 from repro.circuits import barrel_shifter, mips_like_datapath, ripple_adder
 from repro.core.constraints import qualified_low_nodes
 from repro.core.mcmm import CORNER_NAMES, corner_scenarios
-from repro.delay import StageContext, shutdown_pool, stage_delay
+from repro.delay import StageContext
 from repro.delay.effective_res import FALL
 from repro.delay.stage_delay import _mark_truncated
 from repro.trace import Trace
@@ -49,13 +49,6 @@ CLOCKED = [
 
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _force_parallel(monkeypatch):
-    """Make even a 6-device latch take the pooled extraction path."""
-    monkeypatch.setattr(stage_delay, "PARALLEL_MIN_DEVICES", 0)
-    monkeypatch.setattr(stage_delay, "PARALLEL_COLD_MIN_DEVICES", 0)
-    monkeypatch.setattr(stage_delay, "available_cpus", lambda: 2)
 
 
 def _sweeps(tv) -> list[tuple[frozenset[str] | None, frozenset[str]]]:
@@ -88,35 +81,33 @@ class TestCrossSweepParity:
         "name,make", CLOCKED, ids=[name for name, _ in CLOCKED]
     )
     def test_shared_calculator_matches_fresh_per_sweep(
-        self, name, make, pooled, monkeypatch
+        self, name, make, pooled, request
     ):
+        trace = Trace()
         if pooled:
             if not _fork_available():
                 pytest.skip("fork not available")
-            _force_parallel(monkeypatch)
-        try:
-            sweeps = _sweeps(TimingAnalyzer(make()))
-            fresh = {}
+            trace = request.getfixturevalue("forced_pool")
+        sweeps = _sweeps(TimingAnalyzer(make()))
+        fresh = {}
+        for sweep in sweeps:
+            calc = TimingAnalyzer(make()).calculator
+            fresh[sweep] = calc.all_arcs(*sweep, parallel=False)
+        for turn, order in enumerate((sweeps, sweeps[::-1]), 1):
+            shared = TimingAnalyzer(
+                make(), workers=2 if pooled else 1, trace=trace
+            ).calculator
+            for sweep in order:
+                shared.all_arcs(*sweep)
+            if pooled:
+                # One fork per calculator, shared by its three sweeps.
+                assert trace.counters["extract_pool_cold_starts"] == turn
             for sweep in sweeps:
-                calc = TimingAnalyzer(make()).calculator
-                fresh[sweep] = calc.all_arcs(*sweep, parallel=False)
-            for order in (sweeps, sweeps[::-1]):
-                trace = Trace()
-                shared = TimingAnalyzer(
-                    make(), workers=2 if pooled else 1, trace=trace
-                ).calculator
-                for sweep in order:
-                    shared.all_arcs(*sweep)
-                if pooled:
-                    assert trace.counters["extract_pool_cold_starts"] == 1
-                for sweep in sweeps:
-                    assert shared.all_arcs(*sweep) == fresh[sweep], (
-                        f"{name}: sweep {sweep} served from a calculator "
-                        "that also served the other sweeps diverged from "
-                        "a fresh extraction"
-                    )
-        finally:
-            shutdown_pool()
+                assert shared.all_arcs(*sweep) == fresh[sweep], (
+                    f"{name}: sweep {sweep} served from a calculator "
+                    "that also served the other sweeps diverged from "
+                    "a fresh extraction"
+                )
 
     @pytest.mark.parametrize(
         "name,make", CLOCKED, ids=[name for name, _ in CLOCKED]
@@ -238,7 +229,7 @@ def _reference_enumerate_paths(calc, start, targets, adjacency):
     return paths, truncated
 
 
-def _reference_worst_fall_by_gate(calc, ctx, output, fall_edges, adjacency):
+def _reference_worst_fall_by_gate(calc, ctx, output, adjacency):
     found = _reference_enumerate_paths(
         calc, output, {calc.netlist.gnd}, adjacency
     )
@@ -264,7 +255,6 @@ def _reference_worst_fall_by_gate(calc, ctx, output, fall_edges, adjacency):
             timing = calc._timing_from_spine(
                 spine,
                 output,
-                fall_edges,
                 adjacency=adjacency,
                 transition=FALL,
             )
@@ -342,7 +332,6 @@ class TestFusedDischargeWalk:
         compared = truncated = 0
         for index, cut in sorted(contexts, key=lambda c: (c[0], sorted(c[1]))):
             ctx = StageContext(calc, calc.graph[index], cut)
-            edges = ctx.conduction_edges(FALL)
             adjacency = ctx.conduction_adjacency(FALL)
             for output in sorted(ctx.stage.outputs):
                 # Also a cap of exactly the path count and one below it,
@@ -356,9 +345,9 @@ class TestFusedDischargeWalk:
                 )
                 for max_paths in {1, 3, 64, 4096, *exact} - {0}:
                     calc.max_paths = max_paths
-                    ours = calc._worst_fall_by_gate(output, edges, adjacency)
+                    ours = calc._worst_fall_by_gate(output, adjacency)
                     reference = _reference_worst_fall_by_gate(
-                        calc, ctx, output, edges, adjacency
+                        calc, ctx, output, adjacency
                     )
                     assert ours == reference, (
                         f"{name}: stage {index} output {output!r} "

@@ -48,6 +48,7 @@ MODULES = [
     "repro.delay.slope",
     "repro.delay.effective_res",
     "repro.delay.stage_delay",
+    "repro.delay.pool",
     "repro.delay.parametric",
     "repro.core",
     "repro.core.graph",

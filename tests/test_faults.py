@@ -27,7 +27,7 @@ import pytest
 from repro import Netlist, ReproError, TimingAnalyzer
 from repro import robust
 from repro.circuits import inverter_chain, mux2, shift_register
-from repro.delay import stage_delay
+from repro.delay import pool
 from repro.testing import FaultPlan, NetlistFuzzer
 from repro.testing.faults import CORRUPT_SENTINEL
 from repro.trace import Trace
@@ -57,7 +57,7 @@ def serial_json(net) -> str:
 
 def supervised_json(net, trace=None, **calc_overrides) -> str:
     """Analyze with a forced process pool and return the JSON report."""
-    tv = TimingAnalyzer(net, workers=2, executor="process", trace=trace)
+    tv = TimingAnalyzer(net, workers=2, trace=trace)
     for attr, value in calc_overrides.items():
         setattr(tv.calculator, attr, value)
     # Force the pool below the PARALLEL_MIN_DEVICES auto threshold.
@@ -199,62 +199,62 @@ class TestPoolLifecycle:
     def test_no_orphans_when_a_worker_misses_sigterm(self, net):
         # A busy worker that does not act on SIGTERM is still gone after
         # shutdown, and quickly.
-        stage_delay.shutdown_pool()
+        pool.shutdown_pool()
         assert _workers_reaped()
         calc = TimingAnalyzer(net).calculator
         try:
-            executor, _warm = stage_delay._POOL.acquire(calc, 1)
+            executor, _warm = pool._POOL.acquire(calc, 1)
             executor.submit(_ignore_sigterm).result(timeout=30)
             executor.submit(time.sleep, 60)
             time.sleep(0.2)
-            stage_delay.shutdown_pool()
+            pool.shutdown_pool()
             assert _workers_reaped(timeout_s=3.0)
         finally:
             for proc in multiprocessing.active_children():
                 proc.kill()
 
     def test_shutdown_is_idempotent(self, net):
-        stage_delay.shutdown_pool()
-        stage_delay.shutdown_pool()  # no pool: must be a clean no-op
+        pool.shutdown_pool()
+        pool.shutdown_pool()  # no pool: must be a clean no-op
         assert supervised_json(net) == serial_json(net)
-        assert stage_delay.pool_diagnostics()["live"]
-        stage_delay.shutdown_pool()
-        assert not stage_delay.pool_diagnostics()["live"]
-        stage_delay.shutdown_pool()
-        assert not stage_delay.pool_diagnostics()["live"]
+        assert pool.pool_diagnostics()["live"]
+        pool.shutdown_pool()
+        assert not pool.pool_diagnostics()["live"]
+        pool.shutdown_pool()
+        assert not pool.pool_diagnostics()["live"]
         assert _workers_reaped()
 
     def test_no_orphans_after_hard_crash(self, net):
-        stage_delay.shutdown_pool()
+        pool.shutdown_pool()
         assert _workers_reaped()
         plan = FaultPlan().hard_crash("worker-task", times=None)
         with plan.installed():
             supervised_json(net, retry_backoff=0.01)
         # The broken pool was poisoned and discarded, and every worker
         # process it spawned is gone.
-        assert not stage_delay.pool_diagnostics()["live"]
+        assert not pool.pool_diagnostics()["live"]
         assert _workers_reaped()
 
     def test_no_orphans_after_hang(self, net):
-        stage_delay.shutdown_pool()
+        pool.shutdown_pool()
         assert _workers_reaped()
         plan = FaultPlan().delay("worker-task", 5.0, times=None)
         with plan.installed():
             supervised_json(net, task_timeout=0.2, task_retries=0)
         # Hung workers were terminated (not waited on): they disappear
         # long before their injected 5 s sleep could finish.
-        assert not stage_delay.pool_diagnostics()["live"]
+        assert not pool.pool_diagnostics()["live"]
         assert _workers_reaped(timeout_s=3.0)
 
     def test_keyboard_interrupt_tears_down_pool(self, net):
-        stage_delay.shutdown_pool()
+        pool.shutdown_pool()
         plan = FaultPlan().crash(
             "worker-task", times=1, exc_type=KeyboardInterrupt
         )
         with plan.installed():
             with pytest.raises(KeyboardInterrupt):
                 supervised_json(net)
-        assert not stage_delay.pool_diagnostics()["live"]
+        assert not pool.pool_diagnostics()["live"]
         assert _workers_reaped()
 
 

@@ -24,7 +24,7 @@ from repro.core.mcmm import (
     corner_scenarios,
 )
 from repro.core.report import validate_report
-from repro.delay import pool_diagnostics, shutdown_pool, stage_delay
+from repro.delay import pool_diagnostics, shutdown_pool
 from repro.errors import TimingError
 from repro.netlist import sim_dumps
 from repro.tech import NMOS4, Technology
@@ -40,13 +40,6 @@ def _standalone_json(make, corner: str) -> str:
     net = make()
     tv = TimingAnalyzer(net, tech=net.tech.corner(corner))
     return json.dumps(tv.analyze().to_json(), sort_keys=True)
-
-
-def _force_parallel(monkeypatch):
-    """Make even a 6-device inverter take the pooled extraction path."""
-    monkeypatch.setattr(stage_delay, "PARALLEL_MIN_DEVICES", 0)
-    monkeypatch.setattr(stage_delay, "PARALLEL_COLD_MIN_DEVICES", 0)
-    monkeypatch.setattr(stage_delay, "available_cpus", lambda: 2)
 
 
 class TestScenarioCoercion:
@@ -111,23 +104,17 @@ class TestParityParallel:
         "name,make", parity_circuits(), ids=[n for n, _ in parity_circuits()]
     )
     def test_pooled_scenarios_match_serial_standalone(
-        self, name, make, monkeypatch
+        self, name, make, forced_pool
     ):
-        _force_parallel(monkeypatch)
-        try:
-            net = make()
-            tv = TimingAnalyzer(net, workers=2)
-            mcmm = tv.analyze_mcmm(corner_scenarios(net.tech))
-            for corner in CORNER_NAMES:
-                ours = json.dumps(
-                    mcmm.result(corner).to_json(), sort_keys=True
-                )
-                assert ours == _standalone_json(make, corner), (
-                    f"{name}: pooled scenario {corner!r} diverged from "
-                    "the serial standalone analysis"
-                )
-        finally:
-            shutdown_pool()
+        net = make()
+        tv = TimingAnalyzer(net, workers=2, trace=forced_pool)
+        mcmm = tv.analyze_mcmm(corner_scenarios(net.tech))
+        for corner in CORNER_NAMES:
+            ours = json.dumps(mcmm.result(corner).to_json(), sort_keys=True)
+            assert ours == _standalone_json(make, corner), (
+                f"{name}: pooled scenario {corner!r} diverged from "
+                "the serial standalone analysis"
+            )
 
 
 class TestStructuralSharing:
@@ -152,36 +139,31 @@ class TestStructuralSharing:
 
 class TestPoolLifecycle:
     @pytest.mark.skipif(not _fork_available(), reason="fork not available")
-    def test_at_most_one_pool_survives_a_sweep(self, monkeypatch):
-        _force_parallel(monkeypatch)
-        try:
-            net = ripple_adder(6)
-            tv = TimingAnalyzer(net, workers=2)
-            tv.analyze_mcmm(corner_scenarios(net.tech))
-            diag = pool_diagnostics()
-            live = diag["pools_started"] - diag["pools_evicted"]
-            assert live <= 1, (
-                f"{live} pools alive after a 3-corner sweep; retargeted "
-                "scenarios must share one pool"
-            )
-        finally:
-            shutdown_pool()
+    def test_at_most_one_pool_survives_a_sweep(self, forced_pool):
+        net = ripple_adder(6)
+        tv = TimingAnalyzer(net, workers=2, trace=forced_pool)
+        tv.analyze_mcmm(corner_scenarios(net.tech))
+        diag = pool_diagnostics()
+        live = diag["pools_started"] - diag["pools_evicted"]
+        assert live <= 1, (
+            f"{live} pools alive after a 3-corner sweep; retargeted "
+            "scenarios must share one pool"
+        )
+        shutdown_pool()
         diag = pool_diagnostics()
         assert not diag["live"]
         assert diag["pools_started"] - diag["pools_evicted"] == 0
 
     @pytest.mark.skipif(not _fork_available(), reason="fork not available")
-    def test_rebinding_evicts_the_previous_pool(self, monkeypatch):
-        _force_parallel(monkeypatch)
-        try:
-            for seed in (1, 2):
-                tv = TimingAnalyzer(ripple_adder(5 + seed), workers=2)
-                tv.calculator.all_arcs(parallel=True, workers=2)
-            diag = pool_diagnostics()
-            assert diag["pools_started"] >= 2
-            assert diag["pools_started"] - diag["pools_evicted"] <= 1
-        finally:
-            shutdown_pool()
+    def test_rebinding_evicts_the_previous_pool(self, forced_pool):
+        for seed in (1, 2):
+            tv = TimingAnalyzer(
+                ripple_adder(5 + seed), workers=2, trace=forced_pool
+            )
+            tv.calculator.all_arcs(parallel=True, workers=2)
+        diag = pool_diagnostics()
+        assert diag["pools_started"] >= 2
+        assert diag["pools_started"] - diag["pools_evicted"] <= 1
 
 
 class TestMcmmResult:

@@ -1,15 +1,19 @@
 """Tests for the parallel arc-extraction engine and its caching contract.
 
-The pool must be a pure performance feature: identical arcs, identical
-reports, identical ``AnalysisResult`` figures, for both executor flavours.
-Cache invalidation must stay surgical -- only the stages a device edit
-touches recompute.
+The fork pool must be a pure performance feature: identical arcs,
+identical reports, identical ``AnalysisResult`` figures, and a host
+without ``fork`` extracts serially.  Cache invalidation must stay
+surgical -- only the stages a device edit touches recompute.
 """
 
+import ast
+import json
 import multiprocessing
+import pathlib
 
 import pytest
 
+import repro
 from repro import TimingAnalyzer
 from repro.circuits import (
     barrel_shifter,
@@ -24,9 +28,9 @@ from repro.delay import (
     PARALLEL_MIN_DEVICES,
     auto_workers,
     parallel_crossover,
+    pool,
     pool_diagnostics,
     shutdown_pool,
-    stage_delay,
 )
 from repro.errors import StageError
 from repro.trace import Trace
@@ -36,49 +40,50 @@ def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
+needs_fork = pytest.mark.skipif(
+    not _fork_available(), reason="fork not available"
+)
+
+
+@pytest.fixture
+def reaped():
+    """Shut the persistent pool down after the test."""
+    yield
+    shutdown_pool()
+
+
 def _arc_key(arc):
     return (arc.stage_index, arc.trigger, arc.output, arc.via)
 
 
+@needs_fork
+@pytest.mark.usefixtures("reaped")
 class TestParallelMatchesSerial:
     @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: ripple_adder(6),
-            lambda: barrel_shifter(4),
-            lambda: random_logic(400, seed=7),
-        ],
+        "make", [lambda: ripple_adder(6), lambda: barrel_shifter(4)]
     )
-    def test_arc_lists_identical_thread_executor(self, make):
+    def test_arc_lists_identical_pooled(self, make):
         serial = TimingAnalyzer(make(), workers=1)
         arcs_serial = serial.calculator.all_arcs(parallel=False)
 
-        pooled = TimingAnalyzer(make(), workers=2, executor="thread")
+        pooled = TimingAnalyzer(make(), workers=2)
         arcs_pooled = pooled.calculator.all_arcs(parallel=True, workers=2)
 
         assert arcs_serial == arcs_pooled
 
-    @pytest.mark.skipif(not _fork_available(), reason="fork not available")
     def test_arc_lists_identical_process_executor(self):
         serial = TimingAnalyzer(random_logic(400, seed=7), workers=1)
         arcs_serial = serial.calculator.all_arcs(parallel=False)
 
-        pooled = TimingAnalyzer(
-            random_logic(400, seed=7), workers=2, executor="process"
-        )
+        pooled = TimingAnalyzer(random_logic(400, seed=7), workers=2)
         arcs_pooled = pooled.calculator.all_arcs(parallel=True, workers=2)
 
         assert arcs_serial == arcs_pooled
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_analysis_results_identical(self, executor):
-        if executor == "process" and not _fork_available():
-            pytest.skip("fork not available")
+    def test_analysis_results_identical(self):
         serial_result = TimingAnalyzer(random_logic(300, seed=7)).analyze()
 
-        tv = TimingAnalyzer(
-            random_logic(300, seed=7), workers=2, executor=executor
-        )
+        tv = TimingAnalyzer(random_logic(300, seed=7), workers=2)
         tv.calculator.all_arcs(parallel=True, workers=2)
         pooled_result = tv.analyze()
 
@@ -93,9 +98,7 @@ class TestParallelMatchesSerial:
 
     def test_two_phase_circuit_identical_reports(self):
         serial = TimingAnalyzer(register_file(2, 2)[0]).analyze()
-        pooled_tv = TimingAnalyzer(
-            register_file(2, 2)[0], workers=2, executor="thread"
-        )
+        pooled_tv = TimingAnalyzer(register_file(2, 2)[0], workers=2)
         pooled_tv.calculator.all_arcs(parallel=True, workers=2)
         pooled = pooled_tv.analyze()
         serial.analysis_seconds = 0.0
@@ -103,9 +106,7 @@ class TestParallelMatchesSerial:
         assert pooled.report() == serial.report()
 
     def test_parallel_fills_the_same_cache_keys(self):
-        tv = TimingAnalyzer(
-            random_logic(300, seed=7), workers=2, executor="thread"
-        )
+        tv = TimingAnalyzer(random_logic(300, seed=7), workers=2)
         tv.calculator.all_arcs(parallel=True, workers=2)
         pooled_keys = set(tv.calculator._arc_cache)
         arcs = tv.calculator.all_arcs(parallel=False)  # pure cache walk
@@ -139,10 +140,6 @@ class TestWorkerConfiguration:
         assert TimingAnalyzer(ripple_adder(4), workers=1).workers == 1
         assert TimingAnalyzer(ripple_adder(4), workers="auto").workers == "auto"
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(StageError):
-            TimingAnalyzer(ripple_adder(4), executor="mpi")
-
 
 class TestCrossoverHeuristic:
     """The auto decision: device count vs. pool warmth vs. CPUs."""
@@ -150,6 +147,7 @@ class TestCrossoverHeuristic:
     def test_single_cpu_never_goes_parallel(self):
         assert not parallel_crossover(10**9, pool_warm=True, cpus=1)
 
+    @needs_fork
     def test_warm_floor_boundary(self):
         assert parallel_crossover(
             PARALLEL_MIN_DEVICES, pool_warm=True, cpus=4
@@ -158,6 +156,7 @@ class TestCrossoverHeuristic:
             PARALLEL_MIN_DEVICES - 1, pool_warm=True, cpus=4
         )
 
+    @needs_fork
     def test_cold_floor_boundary(self):
         assert parallel_crossover(
             PARALLEL_COLD_MIN_DEVICES, pool_warm=False, cpus=4
@@ -170,45 +169,51 @@ class TestCrossoverHeuristic:
         assert PARALLEL_COLD_MIN_DEVICES > PARALLEL_MIN_DEVICES
 
     def test_below_threshold_takes_serial_path(self, monkeypatch):
-        monkeypatch.setattr(stage_delay, "available_cpus", lambda: 4)
+        monkeypatch.setattr(pool, "available_cpus", lambda: 4)
         trace = Trace(logger=None)
-        tv = TimingAnalyzer(
-            random_logic(300, seed=7),
-            workers=4,
-            executor="thread",
-            trace=trace,
-        )
+        tv = TimingAnalyzer(random_logic(300, seed=7), workers=4, trace=trace)
         tv.calculator.all_arcs()
         assert trace.counters.get("extract_serial_sweeps", 0) == 1
         assert trace.counters.get("extract_parallel_sweeps", 0) == 0
 
-    def test_above_threshold_takes_parallel_path(self, monkeypatch):
-        monkeypatch.setattr(stage_delay, "available_cpus", lambda: 4)
-        monkeypatch.setattr(stage_delay, "PARALLEL_MIN_DEVICES", 100)
+    @needs_fork
+    def test_above_threshold_takes_parallel_path(self, monkeypatch, reaped):
+        # The first sweep forks the pool, so the cold floor decides.
+        monkeypatch.setattr(pool, "available_cpus", lambda: 4)
+        monkeypatch.setattr(pool, "PARALLEL_MIN_DEVICES", 100)
+        monkeypatch.setattr(pool, "PARALLEL_COLD_MIN_DEVICES", 100)
         trace = Trace(logger=None)
-        tv = TimingAnalyzer(
-            random_logic(300, seed=7),
-            workers=4,
-            executor="thread",
-            trace=trace,
-        )
+        tv = TimingAnalyzer(random_logic(300, seed=7), workers=4, trace=trace)
         tv.calculator.all_arcs()
         assert trace.counters.get("extract_parallel_sweeps", 0) == 1
         assert trace.counters.get("extract_serial_sweeps", 0) == 0
+        assert trace.counters.get("extract_pool_cold_starts", 0) == 1
 
-    @pytest.mark.skipif(not _fork_available(), reason="fork not available")
-    def test_forced_parallel_tiny_circuit_matches_serial(self):
-        import json
+    def test_host_without_fork_extracts_serially(self, monkeypatch):
+        serial = json.dumps(
+            TimingAnalyzer(random_logic(300, seed=7)).analyze().to_json()
+        )
+        monkeypatch.setattr(pool, "_HAS_FORK", False)
+        monkeypatch.setattr(pool, "available_cpus", lambda: 4)
+        monkeypatch.setattr(pool, "PARALLEL_MIN_DEVICES", 0)
+        monkeypatch.setattr(pool, "PARALLEL_COLD_MIN_DEVICES", 0)
+        started = pool_diagnostics()["pools_started"]
+        trace = Trace(logger=None)
+        tv = TimingAnalyzer(random_logic(300, seed=7), workers=4, trace=trace)
+        tv.calculator.all_arcs()
+        assert trace.counters.get("extract_serial_sweeps", 0) == 1
+        assert trace.counters.get("extract_parallel_sweeps", 0) == 0
+        assert pool_diagnostics()["pools_started"] == started
+        assert json.dumps(tv.analyze().to_json()) == serial
 
+    @needs_fork
+    def test_forced_parallel_tiny_circuit_matches_serial(self, reaped):
         serial = json.dumps(
             TimingAnalyzer(inverter_chain(4), workers=1).analyze().to_json()
         )
-        tv = TimingAnalyzer(inverter_chain(4), workers=2, executor="process")
+        tv = TimingAnalyzer(inverter_chain(4), workers=2)
         tv.calculator.all_arcs(parallel=True)
-        try:
-            assert json.dumps(tv.analyze().to_json()) == serial
-        finally:
-            shutdown_pool()
+        assert json.dumps(tv.analyze().to_json()) == serial
 
 
 class TestWorkersAuto:
@@ -219,11 +224,11 @@ class TestWorkersAuto:
         assert tv.analyze().max_delay == baseline.max_delay
 
     def test_auto_workers_tracks_affinity_with_a_cap(self, monkeypatch):
-        monkeypatch.setattr(stage_delay, "available_cpus", lambda: 32)
+        monkeypatch.setattr(pool, "available_cpus", lambda: 32)
         assert auto_workers() == 8
-        monkeypatch.setattr(stage_delay, "available_cpus", lambda: 3)
+        monkeypatch.setattr(pool, "available_cpus", lambda: 3)
         assert auto_workers() == 3
-        monkeypatch.setattr(stage_delay, "available_cpus", lambda: 1)
+        monkeypatch.setattr(pool, "available_cpus", lambda: 1)
         assert auto_workers() == 1
 
     def test_bogus_workers_spec_rejected(self):
@@ -231,17 +236,12 @@ class TestWorkersAuto:
             TimingAnalyzer(ripple_adder(4), workers="many")
 
 
-@pytest.mark.skipif(not _fork_available(), reason="fork not available")
+@needs_fork
 class TestPersistentPool:
     def test_pool_reused_across_sweeps(self):
         shutdown_pool()
         trace = Trace(logger=None)
-        tv = TimingAnalyzer(
-            random_logic(400, seed=7),
-            workers=2,
-            executor="process",
-            trace=trace,
-        )
+        tv = TimingAnalyzer(random_logic(400, seed=7), workers=2, trace=trace)
         try:
             tv.calculator.all_arcs(parallel=True)
             assert trace.counters.get("extract_pool_cold_starts", 0) == 1
@@ -259,7 +259,7 @@ class TestPersistentPool:
         shutdown_pool()
         net = random_logic(400, seed=7)
         trace = Trace(logger=None)
-        tv = TimingAnalyzer(net, workers=2, executor="process", trace=trace)
+        tv = TimingAnalyzer(net, workers=2, trace=trace)
         try:
             tv.calculator.all_arcs(parallel=True)
             assert trace.counters.get("extract_pool_cold_starts", 0) == 1
@@ -326,9 +326,10 @@ class TestInvalidation:
         for node in (dev.gate, dev.source, dev.drain):
             assert node not in calc._cap_cache
 
-    def test_edit_then_parallel_reanalysis_matches_fresh(self):
+    @needs_fork
+    def test_edit_then_parallel_reanalysis_matches_fresh(self, reaped):
         net = random_logic(300, seed=7)
-        tv = TimingAnalyzer(net, workers=2, executor="thread")
+        tv = TimingAnalyzer(net, workers=2)
         tv.calculator.all_arcs(parallel=True, workers=2)
         tv.analyze()
 
@@ -342,3 +343,27 @@ class TestInvalidation:
         fresh_net.device(target).w *= 1.5
         fresh = TimingAnalyzer(fresh_net).analyze().max_delay
         assert incremental == pytest.approx(fresh, rel=1e-12)
+
+
+def test_only_the_pool_module_imports_process_machinery():
+    # Everything that knows about worker processes lives in
+    # repro.delay.pool (the bench harnesses only record the host).
+    package = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        relative = path.relative_to(package).as_posix()
+        if relative.startswith("bench/") or relative == "delay/pool.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            offenders.extend(
+                f"{relative}: {module}"
+                for module in modules
+                if module.split(".")[0] in ("multiprocessing", "concurrent")
+            )
+    assert not offenders

@@ -20,7 +20,6 @@ from repro import TimingAnalyzer
 from repro.bench.perf import parity_circuits
 from repro.circuits import inverter_chain, ripple_adder
 from repro.core.mcmm import Scenario, corner_scenarios
-from repro.delay import stage_delay
 from repro.delay.parametric import (
     PARAMETERS,
     SENSITIVITY_REL_STEP,
@@ -42,13 +41,6 @@ CAPACITANCE_PARAMS = ("c_gate_area", "c_diff_area", "c_node_floor")
 
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _force_parallel(monkeypatch):
-    """Make even a 6-device inverter take the pooled extraction path."""
-    monkeypatch.setattr(stage_delay, "PARALLEL_MIN_DEVICES", 0)
-    monkeypatch.setattr(stage_delay, "PARALLEL_COLD_MIN_DEVICES", 0)
-    monkeypatch.setattr(stage_delay, "available_cpus", lambda: 2)
 
 
 def _result_bytes(result) -> str:
@@ -74,9 +66,7 @@ class TestNominalParitySerial:
         trace = Trace()
         net = make()
         tv = TimingAnalyzer(net, trace=trace)
-        mcmm = tv.analyze_mcmm(
-            [Scenario(name="nominal")], parametric=True
-        )
+        mcmm = tv.analyze_mcmm([Scenario(name="nominal")])
         standalone = TimingAnalyzer(make()).analyze()
         assert _result_bytes(mcmm.result("nominal")) == _result_bytes(
             standalone
@@ -96,23 +86,15 @@ class TestNominalParityPooled:
         "name,make", parity_circuits(), ids=[n for n, _ in parity_circuits()]
     )
     def test_pooled_symbolic_matches_serial_concrete(
-        self, name, make, monkeypatch
+        self, name, make, forced_pool
     ):
-        from repro.delay import shutdown_pool
-
-        _force_parallel(monkeypatch)
-        try:
-            net = make()
-            tv = TimingAnalyzer(net, workers=2)
-            mcmm = tv.analyze_mcmm(
-                [Scenario(name="nominal")], parametric=True
-            )
-            standalone = TimingAnalyzer(make()).analyze()
-            assert _result_bytes(mcmm.result("nominal")) == _result_bytes(
-                standalone
-            ), f"{name}: pooled symbolic sweep diverged from serial concrete"
-        finally:
-            shutdown_pool()
+        net = make()
+        tv = TimingAnalyzer(net, workers=2, trace=forced_pool)
+        mcmm = tv.analyze_mcmm([Scenario(name="nominal")])
+        standalone = TimingAnalyzer(make()).analyze()
+        assert _result_bytes(mcmm.result("nominal")) == _result_bytes(
+            standalone
+        ), f"{name}: pooled symbolic sweep diverged from serial concrete"
 
 
 class TestCornerSweepUsesTerms:
@@ -123,19 +105,6 @@ class TestCornerSweepUsesTerms:
         tv.analyze_mcmm(corner_scenarios(net.tech))
         assert trace.counters.get("parametric_stage_evals", 0) > 0
         assert trace.counters.get("structural_runs", 0) == 1
-
-    def test_parametric_false_never_evaluates_terms(self):
-        trace = Trace()
-        net = ripple_adder(2)
-        tv = TimingAnalyzer(net, trace=trace)
-        mcmm = tv.analyze_mcmm(
-            corner_scenarios(net.tech), parametric=False
-        )
-        assert trace.counters.get("parametric_stage_evals", 0) == 0
-        standalone = TimingAnalyzer(
-            ripple_adder(2), tech=net.tech.corner("slow")
-        ).analyze()
-        assert _result_bytes(mcmm.result("slow")) == _result_bytes(standalone)
 
     def test_non_elmore_model_falls_back_to_concrete(self):
         trace = Trace()
@@ -232,7 +201,7 @@ class TestRandomPointParity:
             tv = TimingAnalyzer(make(), tech=tech)
         except ReproError:
             assume(False)
-        mcmm = tv.analyze_mcmm([Scenario(name="pt")], parametric=True)
+        mcmm = tv.analyze_mcmm([Scenario(name="pt")])
         standalone = TimingAnalyzer(make(), tech=tech).analyze()
         assert _result_bytes(mcmm.result("pt")) == _result_bytes(standalone)
 
@@ -257,8 +226,7 @@ class TestMonotonicSanity:
         )
         tv = TimingAnalyzer(ripple_adder(2))
         mcmm = tv.analyze_mcmm(
-            [Scenario(name="base"), Scenario(name="scaled", tech=tech)],
-            parametric=True,
+            [Scenario(name="base"), Scenario(name="scaled", tech=tech)]
         )
         assert _worst_metric(mcmm.result("scaled")) >= _worst_metric(
             mcmm.result("base")
@@ -278,8 +246,7 @@ class TestMonotonicSanity:
         )
         tv = TimingAnalyzer(inverter_chain(6))
         mcmm = tv.analyze_mcmm(
-            [Scenario(name="base"), Scenario(name="scaled", tech=tech)],
-            parametric=True,
+            [Scenario(name="base"), Scenario(name="scaled", tech=tech)]
         )
         assert _worst_metric(mcmm.result("scaled")) >= _worst_metric(
             mcmm.result("base")

@@ -36,6 +36,8 @@ from repro.serve import (
     TimingServer,
     cache_key,
 )
+from repro.tech import NMOS4
+from repro.trace import Trace
 
 
 def request(port, method, path, body=None, raw=None):
@@ -281,6 +283,30 @@ class TestDesignSession:
         session.analyze(on_error="quarantine", use_cache=False)
         assert session.analyzer.on_error == "strict"
         assert session.analyzer.calculator.on_error == "strict"
+
+    @pytest.mark.parametrize(
+        "deadline", [None, 600.0], ids=["no-deadline", "ample-deadline"]
+    )
+    @pytest.mark.parametrize("policy", ["strict", "quarantine"])
+    def test_corner_request_matches_standalone(
+        self, logic_sim, policy, deadline
+    ):
+        # Every cell reports what a standalone analysis at the corner
+        # does; terms serve the corner only where MCMM evaluates them.
+        session = DesignSession("logic", logic_sim)
+        trace = Trace()
+        session.analyzer.calculator.trace = trace
+        payload, cached, _epoch = session.analyze(
+            corner="slow", on_error=policy, deadline=deadline
+        )
+        assert not cached
+        net = sim_loads(logic_sim, name="logic", tech=NMOS4)
+        standalone = TimingAnalyzer(
+            net, tech=net.tech.corner("slow"), on_error=policy
+        ).analyze()
+        assert payload == json.dumps(standalone.to_json())
+        evaluated = trace.counters.get("parametric_stage_evals", 0) > 0
+        assert evaluated == (policy == "strict" and deadline is None)
 
 
 # ----------------------------------------------------------------------

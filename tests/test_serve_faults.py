@@ -34,7 +34,7 @@ import pytest
 from repro import TimingAnalyzer, robust
 from repro.circuits import inverter_chain, random_logic
 from repro.core import validate_report
-from repro.delay import shutdown_pool, stage_delay
+from repro.delay import pool, pool_diagnostics, shutdown_pool
 from repro.netlist import sim_dumps, sim_loads
 from repro.serve import TimingServer
 from repro.testing import FaultPlan
@@ -136,11 +136,15 @@ class TestPoolFaultsOverHttp:
     def _force_pool(self, monkeypatch):
         # Let a tiny circuit on any host cross the parallel-extraction
         # gate so the fork pool actually engages, then reap it after.
-        monkeypatch.setattr(stage_delay, "available_cpus", lambda: 4)
-        monkeypatch.setattr(stage_delay, "PARALLEL_MIN_DEVICES", 1)
-        monkeypatch.setattr(stage_delay, "PARALLEL_COLD_MIN_DEVICES", 1)
+        monkeypatch.setattr(pool, "available_cpus", lambda: 4)
+        monkeypatch.setattr(pool, "PARALLEL_MIN_DEVICES", 1)
+        monkeypatch.setattr(pool, "PARALLEL_COLD_MIN_DEVICES", 1)
+        started = pool_diagnostics()["pools_started"]
         yield
         shutdown_pool()
+        assert pool_diagnostics()["pools_started"] > started, (
+            "the forced pool never started"
+        )
         assert _workers_reaped()
 
     @pytest.mark.parametrize(
@@ -271,7 +275,7 @@ class TestSigtermSubprocess:
             # gate, so forked pool workers must exist (and must die with
             # the daemon).  A 1-CPU host stays serial; the shutdown path
             # is still exercised, there is just nothing to orphan.
-            if stage_delay.available_cpus() >= 2:
+            if pool.available_cpus() >= 2:
                 assert workers, "parallel extraction spawned no pool workers"
 
             proc.send_signal(signal.SIGTERM)
