@@ -10,6 +10,7 @@ import ast
 import json
 import multiprocessing
 import pathlib
+import threading
 
 import pytest
 
@@ -80,11 +81,32 @@ class TestParallelMatchesSerial:
 
         assert arcs_serial == arcs_pooled
 
-    def test_analysis_results_identical(self):
+    @pytest.mark.parametrize("caller", ["process", "thread"])
+    def test_analysis_results_identical(self, caller):
+        """``process``: the sweep runs on the main thread.  ``thread``: it
+        runs on a helper thread, as in the serve daemon's request
+        handlers, so the pool cold-starts (forks) off the main thread."""
         serial_result = TimingAnalyzer(random_logic(300, seed=7)).analyze()
 
         tv = TimingAnalyzer(random_logic(300, seed=7), workers=2)
-        tv.calculator.all_arcs(parallel=True, workers=2)
+        errors = []
+
+        def sweep():
+            try:
+                tv.calculator.all_arcs(parallel=True, workers=2)
+            except BaseException as exc:  # re-raised on the test thread
+                errors.append(exc)
+
+        if caller == "thread":
+            worker = threading.Thread(target=sweep)
+            worker.start()
+            worker.join(timeout=120)
+            assert not worker.is_alive()
+        else:
+            sweep()
+        if errors:
+            raise errors[0]
+        assert pool_diagnostics()["live"]
         pooled_result = tv.analyze()
 
         assert pooled_result.max_delay == serial_result.max_delay
