@@ -33,13 +33,16 @@ What is measured and gated (written to ``BENCH_mcmm.json``):
 Usage::
 
     PYTHONPATH=src python -m repro.bench.mcmm            # full gate
-    PYTHONPATH=src python -m repro.bench.mcmm --smoke    # CI quick mode
+    PYTHONPATH=src python -m repro.bench.mcmm --smoke --json /tmp/m.json
+                                        # CI quick mode; keeps the
+                                        # committed ledger
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import sys
 import time
 
@@ -246,25 +249,24 @@ def main(argv: list[str] | None = None) -> int:
         help="extraction pool width (int or 'auto'; default 1)",
     )
     parser.add_argument(
-        "--json", action="store_true",
-        help="print the payload to stdout as JSON",
+        "--json",
+        type=pathlib.Path,
+        default=OUTPUT_PATH,
+        help="output path for the machine-readable results",
     )
     args = parser.parse_args(argv)
     workers = args.workers if args.workers == "auto" else int(args.workers)
     payload, failures = run(
         smoke=args.smoke, repeat=args.repeat, workers=workers
     )
-    atomic_write_json(OUTPUT_PATH, payload)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(
-            f"MCMM bench ({payload['circuit']}): "
-            f"{payload['mcmm_speedup']:.2f}x vs independent runs "
-            f"(gate {'applied' if payload['speedup_gate']['applied'] else 'skipped'}), "
-            f"dominant corner: {payload['dominant']}"
-        )
-        print(f"wrote {OUTPUT_PATH}")
+    atomic_write_json(args.json, payload)
+    print(
+        f"MCMM bench ({payload['circuit']}): "
+        f"{payload['mcmm_speedup']:.2f}x vs independent runs "
+        f"(gate {'applied' if payload['speedup_gate']['applied'] else 'skipped'}), "
+        f"dominant corner: {payload['dominant']}"
+    )
+    print(f"wrote {args.json}")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

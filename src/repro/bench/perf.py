@@ -55,8 +55,9 @@ fault-injection hooks.
 Run as::
 
     PYTHONPATH=src python -m repro.bench.perf            # full gate
-    PYTHONPATH=src python -m repro.bench.perf --smoke    # CI smoke: quick,
-                                                         # looser gate
+    PYTHONPATH=src python -m repro.bench.perf --smoke --json /tmp/p.json
+                                        # CI smoke: quick, looser gate;
+                                        # keeps the committed ledger
 
 Exit status 0 means no regression; 1 means a gate failed.
 """
@@ -339,7 +340,6 @@ def run(
     smoke: bool = False,
     repeat: int = 3,
     workers: int = 2,
-    output: pathlib.Path = OUTPUT_PATH,
 ) -> tuple[dict, list[str]]:
     """Execute the harness; returns ``(payload, failures)``.
 
@@ -448,8 +448,6 @@ def run(
         "regressions": failures,
         "pass": not failures,
     }
-    atomic_write_json(output, payload)
-    print(f"wrote {output}")
     return payload, failures
 
 
@@ -478,8 +476,9 @@ def main(argv: list[str] | None = None) -> int:
         smoke=args.smoke,
         repeat=args.repeat,
         workers=args.workers,
-        output=args.json,
     )
+    atomic_write_json(args.json, payload)
+    print(f"wrote {args.json}")
     for key, row in payload["results"].items():
         speedup = row.get("end_to_end_speedup_vs_baseline")
         note = f"  ({speedup:.2f}x vs baseline)" if speedup else ""

@@ -30,7 +30,9 @@ metadata rides along, matching ``repro.bench.perf`` conventions.
 Usage::
 
     PYTHONPATH=src python -m repro.bench.serve            # full gate
-    PYTHONPATH=src python -m repro.bench.serve --smoke    # CI quick mode
+    PYTHONPATH=src python -m repro.bench.serve --smoke --json /tmp/s.json
+                                        # CI quick mode; keeps the
+                                        # committed ledger
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pathlib
 import sys
 import tempfile
 import time
@@ -255,7 +258,7 @@ def run(*, smoke: bool = False, repeat: int | None = None) -> tuple[dict, list]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry: run the bench, write BENCH_serve.json, gate."""
+    """CLI entry: run the bench, write its JSON (``--json``), gate."""
     parser = argparse.ArgumentParser(
         description="serve-daemon latency bench + regression gate"
     )
@@ -263,31 +266,28 @@ def main(argv: list[str] | None = None) -> int:
                         help="one mid-size circuit, fewer repeats (CI)")
     parser.add_argument("--repeat", type=int, default=None,
                         help="best-of repeats per timed query")
-    parser.add_argument("--json", action="store_true",
-                        help="print the full payload to stdout")
+    parser.add_argument("--json", type=pathlib.Path, default=OUTPUT_PATH,
+                        help="output path for the machine-readable results")
     args = parser.parse_args(argv)
     payload, failures = run(smoke=args.smoke, repeat=args.repeat)
-    atomic_write_json(OUTPUT_PATH, payload)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for row in payload["results"]:
-            print(
-                f"size {row['size']:>5}: cold {row['cold_analyze_s']*1e3:8.2f} ms  "
-                f"warm {row['warm_query_s']*1e3:7.3f} ms "
-                f"({row['warm_speedup']:7.1f}x)  "
-                f"delta {row['delta_reanalysis_s']*1e3:8.2f} ms vs "
-                f"full {row['full_reanalysis_s']*1e3:8.2f} ms "
-                f"({row['delta_speedup']:.2f}x)"
-            )
-        for row in payload["recovery"]:
-            print(
-                f"size {row['size']:>5}: recovery "
-                f"{row['recovery_s']*1e3:8.2f} ms vs cold reload "
-                f"{row['cold_reload_s']*1e3:8.2f} ms "
-                f"({row['recovery_overhead']:.2f}x)"
-            )
-    print(f"wrote {OUTPUT_PATH}")
+    atomic_write_json(args.json, payload)
+    for row in payload["results"]:
+        print(
+            f"size {row['size']:>5}: cold {row['cold_analyze_s']*1e3:8.2f} ms  "
+            f"warm {row['warm_query_s']*1e3:7.3f} ms "
+            f"({row['warm_speedup']:7.1f}x)  "
+            f"delta {row['delta_reanalysis_s']*1e3:8.2f} ms vs "
+            f"full {row['full_reanalysis_s']*1e3:8.2f} ms "
+            f"({row['delta_speedup']:.2f}x)"
+        )
+    for row in payload["recovery"]:
+        print(
+            f"size {row['size']:>5}: recovery "
+            f"{row['recovery_s']*1e3:8.2f} ms vs cold reload "
+            f"{row['cold_reload_s']*1e3:8.2f} ms "
+            f"({row['recovery_overhead']:.2f}x)"
+        )
+    print(f"wrote {args.json}")
     if failures:
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)

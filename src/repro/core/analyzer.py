@@ -516,11 +516,10 @@ class TimingAnalyzer:
         ``TimingAnalyzer(netlist, tech=scenario.tech,
         clock=scenario.clock)`` analysis.
 
-        Where analytic delay terms are exact -- Elmore model under the
-        strict error policy -- they are extracted once
+        Analytic delay terms are extracted once
         (:mod:`repro.delay.parametric`) and each scenario merely
         *evaluates* them at its corner instead of re-walking the stage
-        trees; see :func:`repro.core.mcmm.term_source`.
+        trees, under every delay model, error policy and deadline.
 
         Returns a :class:`repro.core.mcmm.McmmResult`; see
         :func:`repro.core.mcmm.analyze_mcmm` for details.
@@ -535,19 +534,17 @@ class TimingAnalyzer:
             input_slew=input_slew,
         )
 
-    def _scenario_analyzer(self, scenario, term_source=None) -> "TimingAnalyzer":
-        """A sibling analyzer for one MCMM scenario.
+    def _scenario_analyzer(self, scenario) -> "TimingAnalyzer":
+        """A sibling analyzer for one scenario (MCMM, serve ``corner``).
 
         Shares every structural product (netlist, ERC results, flow
-        report, stage graph) with this analyzer and retargets only the
-        delay calculator -- so building one costs no ERC/flow/stage
-        work, and its ``analyze()`` runs the exact same code a
-        standalone analyzer at that corner would.
-
-        ``term_source`` (a parametric
-        :class:`~repro.delay.stage_delay.StageDelayCalculator`) makes the
-        sibling evaluate the source's analytic terms at its corner
-        instead of re-extracting; see :mod:`repro.delay.parametric`.
+        report, stage graph) with this analyzer, so building one costs
+        no ERC/flow/stage work.  Its delay calculator extracts nothing:
+        it evaluates the analytic terms of this analyzer's symbolic
+        calculator (``parametric_source()``) at the scenario's corner
+        (see :mod:`repro.delay.parametric`), and the rest of its
+        ``analyze()`` runs the code a standalone analyzer at that
+        corner would.
         """
         clone = object.__new__(TimingAnalyzer)
         clone.trace = self.trace
@@ -562,7 +559,7 @@ class TimingAnalyzer:
         clone.calculator = self.calculator.retarget(
             scenario.tech if scenario.tech is not None else self.tech
         )
-        clone.calculator._term_source = term_source
+        clone.calculator._term_source = self.calculator.parametric_source()
         clone.workers = clone.calculator.workers
         clone.tech = clone.calculator.tech
         clone.clock = (
@@ -624,9 +621,10 @@ class TimingAnalyzer:
         (:data:`repro.delay.parametric.PARAMETERS`) is perturbed a few
         percent either way and the endpoint's arrival re-evaluated via a
         parametric MCMM sweep -- one symbolic extraction, two cheap
-        evaluations per parameter.  The slopes describe the nominal
-        worst path's neighbourhood; at a distant parameter point a
-        different path may dominate.
+        evaluations per parameter.  Under every delay model and error
+        policy the slopes describe the nominal worst path's
+        neighbourhood; at a distant parameter point a different path
+        may dominate.
 
         Raises :class:`TimingError` if the node has no recorded arrival.
         """

@@ -148,11 +148,10 @@ def propagate(
 
     amap = arrivals._map
     arcs_from = graph.arcs_from
-    plain_slope = type(slope) is SlopeModel
     for node in graph.order:
         arcs = arcs_from.get(node)  # node == arc.trigger
         if arcs:
-            _relax(amap, amap, node, arcs, slope, plain_slope)
+            _relax(amap, amap, node, arcs, slope)
     return arrivals
 
 
@@ -162,7 +161,6 @@ def _relax(
     node: str,
     arcs: list[StageArc],
     slope: SlopeModel,
-    plain_slope: bool,
 ) -> None:
     """Offer ``node``'s rise, then fall arrival (looked up in ``arrived``)
     through each of ``arcs`` -- all triggered by ``node`` -- to the arc
@@ -170,9 +168,8 @@ def _relax(
     strictly later.
 
     The sweep's inner loop (every arc, both transitions), so the map and
-    the slope coefficients are accessed directly.  The coefficient fast
-    path applies only to a plain SlopeModel -- a subclass with overridden
-    methods keeps its behaviour.
+    the slope coefficients are accessed directly: the expressions are
+    :meth:`SlopeModel.delay` and :meth:`SlopeModel.output_slew` inlined.
     """
     for transition in (RISE, FALL):
         incoming = arrived.get((node, transition))
@@ -190,20 +187,12 @@ def _relax(
             timing = arc.rise if out_transition == RISE else arc.fall
             if timing is None:
                 continue
-            if plain_slope:
-                alpha = slope.alpha_tracking if tracking else slope.alpha
-                time = in_time + (timing.delay + alpha * in_slew)
-            else:
-                time = in_time + slope.delay(
-                    timing.delay, in_slew, tracking=tracking
-                )
+            alpha = slope.alpha_tracking if tracking else slope.alpha
+            time = in_time + (timing.delay + alpha * in_slew)
             existing = amap.get((arc.output, out_transition))
             if existing is not None and existing.time >= time:
                 continue
-            if plain_slope:
-                out_slew = slope.gamma * timing.tau + slope.beta * in_slew
-            else:
-                out_slew = slope.output_slew(timing.tau, in_slew)
+            out_slew = slope.gamma * timing.tau + slope.beta * in_slew
             amap[(arc.output, out_transition)] = Arrival(
                 node=arc.output,
                 transition=out_transition,
@@ -237,7 +226,6 @@ def _resweep(
     arcs_from = graph.arcs_from
     old = previous._map
     amap = dict(old)
-    plain_slope = type(slope) is SlopeModel
     heap: list[tuple[int, str]] = []
     queued: set[str] = set()
 
@@ -265,7 +253,7 @@ def _resweep(
         for trigger, indices in fanin.get(node, ()):
             arcs = arcs_from[trigger]
             feeding = [arcs[index] for index in indices]
-            _relax(amap, fresh, trigger, feeding, slope, plain_slope)
+            _relax(amap, fresh, trigger, feeding, slope)
         moved = False
         for transition in (RISE, FALL):
             key = (node, transition)

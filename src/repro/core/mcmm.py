@@ -13,20 +13,21 @@ functions of the netlist *geometry* only, while a corner rescales
 resistances and capacitances uniformly.  So the structural phases run
 once (on the :class:`~repro.core.analyzer.TimingAnalyzer` that hosts the
 MCMM run) and each scenario gets a calculator retargeted to its corner
-(:meth:`StageDelayCalculator.retarget`).  Wherever analytic delay terms
-are exact -- the Elmore model under the strict error policy, with no
-deadline (:func:`term_source`) -- the arcs are extracted once as terms
-and every scenario only evaluates them at its corner; outside that
-envelope each scenario extracts concretely.  When extraction is pooled,
-it runs on the *same* persistent worker pool for every scenario instead
-of forking one pool per corner.
+(:meth:`StageDelayCalculator.retarget`).  The arcs are extracted once,
+as analytic terms (:mod:`repro.delay.parametric`), and every scenario
+only evaluates them at its corner -- under every delay model, error
+policy and deadline.  When extraction is pooled, it runs on one
+persistent worker pool for the whole sweep.
 
 The correctness anchor is **parity**: every scenario's
 :class:`~repro.core.analyzer.AnalysisResult` is byte-identical
 (``to_json``) to a standalone
 ``TimingAnalyzer(netlist, tech=scenario.tech, clock=scenario.clock)``
-analysis, because the retargeted calculator runs the identical
-extraction code on the identical netlist.
+analysis, because a term replays the floating-point operations of the
+concrete extraction in the same order.  The path search behind each
+term ran at the hosting analyzer's technology, so parity holds wherever
+a search at the scenario's corner would pick the same paths -- at the
+shipped corners, which scale every resistance alike, among others.
 
 Typical use::
 
@@ -45,7 +46,6 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass, field, replace
 
-from .. import robust
 from ..clocks import TwoPhaseClock
 from ..errors import TimingError
 from ..tech import Technology
@@ -56,7 +56,6 @@ __all__ = [
     "McmmResult",
     "analyze_mcmm",
     "corner_scenarios",
-    "term_source",
     "CORNER_NAMES",
 ]
 
@@ -333,25 +332,6 @@ def _node_arrivals(result) -> dict[str, float]:
     return out
 
 
-def term_source(analyzer, deadline: float | None = None):
-    """The symbolic calculator the corner siblings of ``analyzer`` evaluate.
-
-    Analytic delay terms (:mod:`repro.delay.parametric`) serve corners
-    wherever they are exact: the Elmore model under the strict error
-    policy.  A run with a ``deadline`` extracts concretely, because the
-    shared term source has no deadline of its own.  ``None`` elsewhere:
-    each sibling then extracts concretely at its corner.
-    """
-    calculator = analyzer.calculator
-    if (
-        deadline is None
-        and analyzer.on_error == robust.STRICT
-        and calculator.model == "elmore"
-    ):
-        return calculator.parametric_source()
-    return None
-
-
 def analyze_mcmm(
     analyzer,
     scenarios,
@@ -366,7 +346,7 @@ def analyze_mcmm(
     :class:`~repro.core.analyzer.TimingAnalyzer`; its ERC results, flow
     report, and stage graph are shared by every scenario (they are
     corner-invariant), and each scenario gets a sibling analyzer whose
-    delay calculator is retargeted to the scenario's corner.  Scenario
+    delay calculator evaluates terms at the scenario's corner.  Scenario
     evaluation order is the given order, and each scenario's result is
     byte-identical to a standalone analysis at that corner and clock.
 
@@ -374,12 +354,11 @@ def analyze_mcmm(
     names ``"slow"``/``"typ"``/``"fast"`` as shorthand for corners of
     the analyzer's technology); names must be unique.
 
-    Where :func:`term_source` finds terms exact, the hosting analyzer's
-    calculator extracts each arc once as an analytic term over the
-    technology parameter vector, and every scenario *evaluates* the
-    terms at its corner instead of re-walking the stage trees -- N
-    corners cost one structural extraction plus N evaluation passes.
-    Elsewhere every scenario extracts concretely at its corner.
+    The hosting analyzer's symbolic calculator extracts each arc once
+    as an analytic term over the technology parameter vector, and every
+    scenario *evaluates* the terms at its corner instead of re-walking
+    the stage trees -- N corners cost one structural extraction plus N
+    evaluation passes.
 
     Trace counters: ``mcmm_scenarios`` counts evaluated scenarios while
     ``structural_runs`` stays at the hosting analyzer's single
@@ -398,12 +377,11 @@ def analyze_mcmm(
     names = [scen.name for scen in coerced]
     if len(set(names)) != len(names):
         raise TimingError(f"duplicate scenario names in {names}")
-    source = term_source(analyzer)
     mcmm = McmmResult(
         netlist_name=analyzer.netlist.name, scenarios=coerced
     )
     for scen in coerced:
-        sibling = analyzer._scenario_analyzer(scen, term_source=source)
+        sibling = analyzer._scenario_analyzer(scen)
         analyzer.trace.incr("mcmm_scenarios")
         mcmm.results[scen.name] = sibling.analyze(
             input_arrivals, top_k=top_k, input_slew=input_slew

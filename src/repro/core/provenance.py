@@ -265,7 +265,6 @@ def explain_arrival(
             f"no arrival recorded at {endpoint!r} ({transition})"
         )
 
-    plain_slope = type(slope) is SlopeModel
     chain = []
     current = arrival
     guard = 0
@@ -310,13 +309,9 @@ def explain_arrival(
         tracking = False if arc.inverting else arc.via == "channel"
         in_time = pred.time
         in_slew = pred.slew
-        if plain_slope:
-            alpha = slope.alpha_tracking if tracking else slope.alpha
-            slope_delay = alpha * in_slew
-            delta = timing.delay + slope_delay
-        else:
-            delta = slope.delay(timing.delay, in_slew, tracking=tracking)
-            slope_delay = delta - timing.delay
+        alpha = slope.alpha_tracking if tracking else slope.alpha
+        slope_delay = alpha * in_slew
+        delta = timing.delay + slope_delay
         if in_time + delta != step.time:  # pragma: no cover - divergence bug
             raise TimingError(
                 f"provenance mismatch at {step.node!r} ({step.transition}): "

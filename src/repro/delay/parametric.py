@@ -3,34 +3,47 @@
 The concrete extractors in :mod:`repro.delay.stage_delay` produce plain
 floats: every resistance, capacitance, and calibration factor is read
 from one fixed :class:`~repro.tech.Technology` at extraction time.  That
-makes a multi-corner sweep or a "what moves this path?" query pay the
-full structural extraction again for every parameter point.
+would make a multi-corner sweep or a "what moves this path?" query pay
+the full structural extraction again for every parameter point.
 
-This module is the symbolic layer on top (ROADMAP: *parametric/symbolic
-delay models for instant what-if*, after arXiv:2510.15907).  When a
-:class:`~repro.delay.stage_delay.StageDelayCalculator` runs with
-``parametric`` enabled, each extracted
+This module is the symbolic layer on top (after arXiv:2510.15907).  When
+a :class:`~repro.delay.stage_delay.StageDelayCalculator` runs with
+``parametric`` enabled (its ``parametric_source()``), each extracted
 :class:`~repro.delay.stage_delay.ArcTiming` carries a **term**: a
 replayable analytic recipe over the technology parameter vector, built
-once during the structural walk.  A term is a nested tuple:
+once during the structural walk.  Every corner of every delay model is
+timed by evaluating these terms; nothing re-extracts at a corner.  A
+term is a nested tuple:
 
 ``("spine", recipes, contribs, root, output, path, truncated)``
-    One RC-tree evaluation.  ``recipes`` name the spine resistances as
-    symbolic atoms -- ``("res", device, role, transition)`` (one
-    :func:`~repro.delay.effective_res.device_resistance` call) or
-    ``("load", node)`` (the parallel depletion pull-up combine) --
-    and ``contribs`` records, in the exact visit order of the concrete
-    tree walk, which prefix resistance each node's capacitance
-    multiplies.  Replaying the recipe at any parameter point performs
-    the *same floating-point operations in the same order* as concrete
-    extraction, so evaluation at the extraction point is bit-for-bit
-    identical to the concrete model -- the hard parity gate.
+    One Elmore RC-tree evaluation.  ``recipes`` name the spine
+    resistances as symbolic atoms -- ``("res", device, role,
+    transition)`` (one :func:`~repro.delay.effective_res.device_resistance`
+    call) or ``("load", node)`` (the parallel depletion pull-up combine)
+    -- and ``contribs`` records, in the exact visit order of the
+    concrete tree walk, which prefix resistance each node's capacitance
+    multiplies.
+
+``("tree", edges, root, output, path, truncated)``
+    One RC tree under the ``lumped``/``pr-min``/``pr-max`` models.
+    ``edges`` are ``(parent, child, atom)`` in the concrete walk's
+    insertion order; evaluation rebuilds the tree with each atom and
+    node capacitance instantiated and hands it to the calculator's
+    ``_tree_delay``, the function concrete extraction uses.
 
 ``("max", a, b)``
     A worst-case merge of two terms (``a`` the incumbent).  Both sides
     are evaluated and the corner decides the winner, exactly as the
     concrete ``_merge_arcs``/``_rise_via_pullup`` comparisons would at
     that corner.
+
+Replaying a term at any parameter point performs the *same
+floating-point operations in the same order* as concrete extraction, so
+evaluation at the extraction point is bit-for-bit identical to the
+concrete model -- the hard parity gate.  The path search itself ran
+once, at the extraction point: at a distant parameter point another
+path may be worst, and only the candidates a ``max`` merge recorded are
+re-decided there.
 
 Terms are plain picklable tuples, so pooled extraction ships them over
 the existing wire format unchanged.  :func:`evaluate_arcs` instantiates
@@ -50,6 +63,8 @@ import dataclasses
 
 from ..tech import Technology
 from .effective_res import device_resistance
+from .rctree import RCTree
+from .stage_delay import ArcTiming, StageArc
 
 __all__ = [
     "PARAMETERS",
@@ -144,23 +159,14 @@ class _StageEnv:
         return value
 
 
-#: Lazily-bound :class:`~repro.delay.stage_delay.ArcTiming` (the import
-#: is deferred because stage_delay imports this module the same way).
-_ArcTiming = None
-
-
-def _evaluate_term(env: _StageEnv, term: tuple):
+def _evaluate_term(env: _StageEnv, term: tuple) -> ArcTiming:
     """Evaluate one term at the environment's parameter point."""
-    global _ArcTiming
-    if _ArcTiming is None:
-        from .stage_delay import ArcTiming as _ArcTiming  # noqa: F811
-
     if term[0] == "max":
         a = _evaluate_term(env, term[1])
         b = _evaluate_term(env, term[2])
         # Same tie rule as the concrete merge: the incumbent (a) wins.
         winner = a if a.delay >= b.delay else b
-        return _ArcTiming(
+        return ArcTiming(
             delay=winner.delay,
             tau=winner.tau,
             path=winner.path,
@@ -168,8 +174,20 @@ def _evaluate_term(env: _StageEnv, term: tuple):
             term=term,
         )
 
-    _tag, recipes, contribs, root, output, path, truncated = term
     calc = env.calc
+    if term[0] == "tree":
+        _tag, edges, root, output, path, truncated = term
+        tree = RCTree(root)
+        for parent, child, atom in edges:
+            tree.add_child(
+                parent, child, env.resistance(atom), calc._node_cap(child)
+            )
+        delay, tau = calc._tree_delay(tree, output)
+        return ArcTiming(
+            delay=delay, tau=tau, path=path, truncated=truncated, term=term
+        )
+
+    _tag, recipes, contribs, root, output, path, truncated = term
     # Prefix resistances: prefix[i] is the root->(i-th spine node)
     # resistance, accumulated in spine order like the concrete walk.
     prefix = [0.0]
@@ -197,20 +215,19 @@ def _evaluate_term(env: _StageEnv, term: tuple):
             derate = calc._ratio_derate(output, r_total)
             env._atoms[key] = derate
         k *= derate
-    return _ArcTiming(
+    return ArcTiming(
         delay=k * tau, tau=tau, path=path, truncated=truncated, term=term
     )
-
-
-#: Sentinel distinguishing "timing is None" from "timing has no term".
-_MISSING = object()
 
 
 def _evaluate_timing(env: _StageEnv, timing):
     if timing is None:
         return None
     if timing.term is None:
-        return _MISSING
+        raise ValueError(
+            "timing carries no parametric term; extract it with the "
+            "calculator's parametric_source() first"
+        )
     return _evaluate_term(env, timing.term)
 
 
@@ -222,13 +239,7 @@ def evaluate_timing(calc, stage, timing):
     own extraction point), or ``None`` if ``timing`` is ``None``.
     Raises :class:`ValueError` if the timing carries no term.
     """
-    result = _evaluate_timing(_StageEnv(calc, stage), timing)
-    if result is _MISSING:
-        raise ValueError(
-            "timing carries no parametric term; extract it with the "
-            "calculator's parametric_source() first"
-        )
-    return result
+    return _evaluate_timing(_StageEnv(calc, stage), timing)
 
 
 def evaluate_arcs(calc, stage, arcs):
@@ -237,28 +248,19 @@ def evaluate_arcs(calc, stage, arcs):
     ``arcs`` are the symbolic source's merged :class:`StageArc` list for
     ``stage``; the result is the arc list a full concrete extraction at
     ``calc.tech`` would produce, at evaluation cost (no path search).
-    Returns ``None`` when any timing lacks a term (the caller falls back
-    to concrete extraction), so a partially-symbolic source can never
-    produce a silently wrong arc list.
+    Raises :class:`ValueError` if any timing carries no term, so a
+    concrete arc list can never pass for an evaluated one.
     """
-    from .stage_delay import StageArc
-
     env = _StageEnv(calc, stage)
-    evaluated = []
-    for arc in arcs:
-        rise = _evaluate_timing(env, arc.rise)
-        fall = _evaluate_timing(env, arc.fall)
-        if rise is _MISSING or fall is _MISSING:
-            return None
-        evaluated.append(
-            StageArc(
-                stage_index=arc.stage_index,
-                trigger=arc.trigger,
-                via=arc.via,
-                output=arc.output,
-                inverting=arc.inverting,
-                rise=rise,
-                fall=fall,
-            )
+    return [
+        StageArc(
+            stage_index=arc.stage_index,
+            trigger=arc.trigger,
+            via=arc.via,
+            output=arc.output,
+            inverting=arc.inverting,
+            rise=_evaluate_timing(env, arc.rise),
+            fall=_evaluate_timing(env, arc.fall),
         )
-    return evaluated
+        for arc in arcs
+    ]

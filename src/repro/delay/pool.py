@@ -7,14 +7,14 @@ under its own cache keys and extracts the rest serially.
 
 The pool is **persistent**: one module-level
 fork pool (:data:`_POOL`) is started lazily and reused across
-``all_arcs`` calls, clock corners, and repeated runs of the same
+``all_arcs`` calls, MCMM scenarios, and repeated runs of the same
 calculator, so the fork cost is paid once per calculator instead of once
 per sweep.  It is keyed on ``(calculator token, invalidation epoch)``:
 a different calculator, or a device edit on the same one, rebinds it to
 a fresh snapshot.  Workers attach the calculator -- netlist, stage graph, and
 warm per-device caches included -- as a **shared immutable snapshot**
 inherited by the fork at pool start; per-task traffic is only
-``(run token, corner, chunk of stage indices)`` down and compact arc
+``(run token, term flag, chunk of stage indices)`` down and compact arc
 tuples back (never the netlist, never dataclass pickles).  Stage batches
 are **sized by estimated device work** (device count squared, a proxy
 for the superlinear path-search cost) so one oversized stage -- e.g. a
@@ -44,7 +44,6 @@ import time
 
 from .. import robust
 from ..errors import StageError
-from ..tech import Technology
 from . import stage_delay  # circular: its names are read at call time
 
 __all__ = [
@@ -165,6 +164,7 @@ def extract(
     active_clocks: frozenset[str] | None,
     open_gates: frozenset[str],
     workers: int,
+    deadline: float | None,
 ) -> dict[int, list[stage_delay.StageArc]]:
     """Extract stages ``indices`` of ``calc`` on the persistent pool.
 
@@ -176,8 +176,12 @@ def extract(
     exponential backoff (``task_retries``/``retry_backoff``), and
     whatever still failed after the last attempt falls back to the
     serial path simply by being left out.  A pool that cannot start at
-    all degrades the same way.  A ``KeyboardInterrupt`` mid-sweep tears
-    the persistent pool down (terminating live workers) before
+    all degrades the same way.  ``deadline`` is the requesting sweep's
+    absolute ``time.monotonic()`` deadline (``None``: none): no attempt
+    starts once it has passed, and a running one stops waiting at it.
+    It may belong to a corner sibling on whose behalf ``calc``, the
+    sibling's term source, extracts.  A ``KeyboardInterrupt`` mid-sweep
+    tears the persistent pool down (terminating live workers) before
     propagating, so Ctrl-C never leaves orphans.
     """
     delivered: dict[int, list[stage_delay.StageArc]] = {}
@@ -189,7 +193,7 @@ def extract(
         for attempt in range(calc.task_retries + 1):
             if not pending:
                 return delivered
-            if calc._deadline_expired():
+            if deadline is not None and time.monotonic() >= deadline:
                 # No time left for another pool attempt; the serial
                 # walk will apply the deadline policy stage by stage.
                 break
@@ -200,7 +204,7 @@ def extract(
             try:
                 pending = _run_pool(
                     calc, pending, active_clocks, open_gates, workers,
-                    delivered,
+                    deadline, delivered,
                 )
             except KeyboardInterrupt:
                 raise
@@ -251,7 +255,7 @@ def _work_chunks(graph, indices: list[int], workers: int) -> list[list[int]]:
 
 
 def _run_pool(
-    calc, chunks, active_clocks, open_gates, workers, delivered
+    calc, chunks, active_clocks, open_gates, workers, deadline, delivered
 ) -> list[list[int]]:
     """One supervised pool attempt; returns the chunks that failed.
 
@@ -260,8 +264,8 @@ def _run_pool(
     pickling, and the child's str-hash seed -- hence every
     set-iteration order -- matches the parent's, which keeps the
     extracted arc lists bit-identical to serial extraction) and are
-    reused across sweeps, corners, and runs of the same calculator.
-    Per-task traffic is ``(run token, corner, chunk)`` down and
+    reused across sweeps and runs of the same calculator.
+    Per-task traffic is ``(run token, term flag, chunk)`` down and
     compact arc tuples back, decoded into ``delivered`` as each future
     completes.  A timeout, a worker crash (``BrokenProcessPool``),
     or a structurally corrupt return value marks the chunk failed
@@ -283,7 +287,6 @@ def _run_pool(
                 pool.submit(
                     _pool_extract,
                     run_token,
-                    calc.tech,
                     calc.parametric,
                     active_clocks,
                     open_gates,
@@ -295,8 +298,8 @@ def _run_pool(
         ]
         for future, chunk in futures:
             timeout = calc.task_timeout
-            if calc.deadline is not None:
-                remaining = calc.deadline - time.monotonic()
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     # The request deadline passed mid-sweep: cancel
                     # the pooled extraction instead of waiting it
@@ -516,13 +519,11 @@ def warm_for(calc: stage_delay.StageDelayCalculator) -> bool:
     return _POOL.warm_for(calc)
 
 
-#: Worker-side state: the fork-inherited calculator snapshot, per-corner
-#: retargeted views of it, and the run token of the sweep the worker
-#: last extracted for.
+#: Worker-side state: the fork-inherited calculator snapshot and its
+#: concrete/symbolic views (keyed on ``parametric``), and the run token
+#: of the sweep the worker last extracted for.
 _POOL_CALC: stage_delay.StageDelayCalculator | None = None
-_POOL_RETARGETED: dict[
-    tuple[Technology, bool], stage_delay.StageDelayCalculator
-] = {}
+_POOL_VIEWS: dict[bool, stage_delay.StageDelayCalculator] = {}
 _POOL_RUN_TOKEN: int | None = None
 
 
@@ -538,39 +539,31 @@ def _pool_init(calc: stage_delay.StageDelayCalculator) -> None:
     """
     global _POOL_CALC, _POOL_RUN_TOKEN
     _POOL_CALC = calc
-    _POOL_RETARGETED.clear()
+    _POOL_VIEWS.clear()
+    _POOL_VIEWS[calc.parametric] = calc
     _POOL_RUN_TOKEN = None
     _POOL.discard()  # child side: reference drop only (owner-pid guard)
 
 
-def _pool_calc_for(
-    tech: Technology, parametric: bool
-) -> stage_delay.StageDelayCalculator:
-    """The worker's calculator view for ``(tech, parametric)``.
+def _pool_calc_for(parametric: bool) -> stage_delay.StageDelayCalculator:
+    """The worker's concrete or symbolic view of its snapshot.
 
-    An MCMM sweep fans scenarios over one fixed pool; the fork snapshot
-    holds the *base* corner, and other corners (or the symbolic flavour
-    of the base corner) are served by retargeted views built on first
-    use (sharing the snapshot's structural facts) and kept for the rest
-    of the pool's life -- each keeps its own corner-specific delay
-    caches warm across sweeps.
+    A calculator and its ``parametric_source()`` share one pool binding
+    and one technology, so whichever of the two forked the pool, the
+    other is a same-technology retarget of the snapshot, built on first
+    use and kept for the rest of the pool's life.
     """
-    calc = _POOL_CALC
-    assert calc is not None
-    if tech == calc.tech and parametric == calc.parametric:
-        return calc
-    key = (tech, parametric)
-    view = _POOL_RETARGETED.get(key)
+    view = _POOL_VIEWS.get(parametric)
     if view is None:
-        view = calc.retarget(tech)
+        assert _POOL_CALC is not None
+        view = _POOL_CALC.retarget(_POOL_CALC.tech)
         view.parametric = parametric
-        _POOL_RETARGETED[key] = view
+        _POOL_VIEWS[parametric] = view
     return view
 
 
 def _pool_extract(
     run_token: int,
-    tech: Technology,
     parametric: bool,
     active_clocks: frozenset[str] | None,
     open_gates: frozenset[str],
@@ -584,12 +577,10 @@ def _pool_extract(
         # New sweep: drop arcs cached by earlier sweeps so repeated
         # measurements do honest work.  Device facts and node-cap caches
         # persist -- amortizing those is the pool's entire point.
-        assert _POOL_CALC is not None
-        _POOL_CALC._arc_cache.clear()
-        for view in _POOL_RETARGETED.values():
+        for view in _POOL_VIEWS.values():
             view._arc_cache.clear()
         _POOL_RUN_TOKEN = run_token
-    calc = _pool_calc_for(tech, parametric)
+    calc = _pool_calc_for(parametric)
     out = []
     for index in indices:
         robust.fault_point("worker-task", index)

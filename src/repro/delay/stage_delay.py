@@ -28,6 +28,11 @@ cap is hit the arc is marked ``truncated`` (never silently).  The search
 is a depth-first walk in adjacency order, so which paths a truncated arc
 saw -- and hence its delay -- follows that order.
 
+A corner is never extracted.  The symbolic twin of a calculator
+(:meth:`StageDelayCalculator.parametric_source`) records each timing as
+a replayable term (:mod:`repro.delay.parametric`), under every model,
+and a corner clone evaluates those terms at its technology.
+
 Throughput
 ----------
 A sweep (``active_clocks``, ``open_gates``) reaches a stage's arcs only
@@ -348,14 +353,15 @@ class StageDelayCalculator:
         # _device_fact_map.
         self._device_facts: dict[str, tuple] | None = None
         #: When True, extracted ArcTimings carry parametric terms (see
-        #: repro.delay.parametric).  Off by default: term building costs
-        #: a little per spine, and concrete mode must stay byte-stable.
+        #: repro.delay.parametric).  Off by default: building terms costs
+        #: time and memory that a single-corner run has no use for.
         self.parametric = False
         #: Symbolic sibling serving term-carrying arcs for this
         #: structure, built lazily by :meth:`parametric_source`.
         self._parametric_source: "StageDelayCalculator | None" = None
         #: When set, :meth:`arcs` evaluates this source's terms at our
-        #: tech instead of extracting (see :meth:`_arcs_from_terms`).
+        #: tech instead of extracting, and :meth:`all_arcs` pre-fills
+        #: the source's cache on the pool.
         self._term_source: "StageDelayCalculator | None" = None
 
     # ------------------------------------------------------------------
@@ -393,63 +399,48 @@ class StageDelayCalculator:
         cached = self._arc_cache.get(cache_key)
         if cached is not None:
             return cached
-        if self._term_source is not None:
-            evaluated = self._arcs_from_terms(
-                stage, active_clocks, open_gates
+        source = self._term_source
+        if source is not None:
+            # The source extracts (and caches) term-carrying arcs once;
+            # this calculator instantiates them at its own parameter
+            # point -- an evaluation pass, no path search.
+            from .parametric import evaluate_arcs
+
+            merged = evaluate_arcs(
+                self, stage, source.arcs(stage, active_clocks, open_gates)
             )
-            if evaluated is not None:
-                self._arc_cache[cache_key] = evaluated
-                return evaluated
-        ctx = StageContext(self, stage, cut)
-        raw: list[StageArc] = []
-        raw.extend(self._gate_arcs(ctx))
-        raw.extend(self._clocked_switch_arcs(ctx))
-        raw.extend(self._precharge_arcs(ctx))
-        raw.extend(self._follower_arcs(ctx))
-        raw.extend(self._channel_arcs(ctx))
-        raw.extend(self._select_arcs(ctx))
-        merged = _merge_arcs(raw)
+            self.trace.incr("parametric_stage_evals")
+        else:
+            ctx = StageContext(self, stage, cut)
+            raw: list[StageArc] = []
+            raw.extend(self._gate_arcs(ctx))
+            raw.extend(self._clocked_switch_arcs(ctx))
+            raw.extend(self._precharge_arcs(ctx))
+            raw.extend(self._follower_arcs(ctx))
+            raw.extend(self._channel_arcs(ctx))
+            raw.extend(self._select_arcs(ctx))
+            merged = _merge_arcs(raw)
         self._arc_cache[cache_key] = merged
         return merged
-
-    def _arcs_from_terms(
-        self,
-        stage: Stage,
-        active_clocks: frozenset[str] | None,
-        open_gates: frozenset[str],
-    ) -> list[StageArc] | None:
-        """Evaluate the term source's arcs for ``stage`` at our tech.
-
-        The source extracts (and caches) term-carrying arcs once; this
-        calculator instantiates them at its own parameter point -- an
-        evaluation pass, no path search.  Returns ``None`` when any
-        timing lacks a term, in which case the caller falls back to full
-        concrete extraction for the stage.
-        """
-        from .parametric import evaluate_arcs
-
-        source = self._term_source
-        src_arcs = source.arcs(stage, active_clocks, open_gates)
-        evaluated = evaluate_arcs(self, stage, src_arcs)
-        if evaluated is not None:
-            self.trace.incr("parametric_stage_evals")
-        return evaluated
 
     def parametric_source(self) -> "StageDelayCalculator":
         """The memoized symbolic sibling of this calculator.
 
         A :meth:`retarget` clone at this calculator's own technology
         with ``parametric`` enabled: its extractions emit term-carrying
-        arcs that corner clones evaluate instead of re-extracting (see
-        ``TimingAnalyzer.analyze_mcmm``).  It shares this calculator's
-        pool binding, so pooled symbolic sweeps reuse the same
-        persistent pool, and :meth:`invalidate_devices` keeps its caches
-        in lockstep with ours.
+        arcs, under every delay model, that corner clones evaluate
+        instead of re-extracting (see ``TimingAnalyzer.analyze_mcmm``).
+        It shares this calculator's technology and pool binding, so
+        pooled symbolic sweeps reuse the same persistent pool, and
+        :meth:`invalidate_devices` keeps its caches in lockstep with
+        ours.
         """
         source = self._parametric_source
         if source is None:
             source = self.retarget(self.tech)
             source.parametric = True
+            source._pool_token = self._pool_token
+            source._pool_epoch = self._pool_epoch
             self._parametric_source = source
         return source
 
@@ -504,16 +495,10 @@ class StageDelayCalculator:
         Delay caches (``_cap_cache``/``_arc_cache``) start empty because
         their contents are corner-specific.
 
-        The clone also inherits this calculator's persistent-pool
-        binding: the structural snapshot the forked workers hold is
-        corner-invariant, so a multi-corner sweep reuses **one** fixed
-        pool instead of rebinding per corner -- workers receive the
-        corner with each task and retarget their own snapshot
-        (see :mod:`repro.delay.pool`).
-
-        Because the clone runs the identical extraction code on the
-        identical netlist, its results are byte-identical to a
-        calculator built from scratch with ``tech=tech``.
+        The clone gets a pool binding of its own, because a forked
+        snapshot holds one technology.  A corner clone extracts nothing
+        itself: its ``_term_source`` does, and the clone evaluates the
+        terms at ``tech`` (see :mod:`repro.delay.parametric`).
         """
         clone = StageDelayCalculator(
             self.netlist,
@@ -529,14 +514,11 @@ class StageDelayCalculator:
         clone.task_timeout = self.task_timeout
         clone.task_retries = self.task_retries
         clone.retry_backoff = self.retry_backoff
-        clone.deadline = self.deadline
         clone.quarantined = set(self.quarantined)
         clone.diagnostics = list(self.diagnostics)
         clone._device_facts = self._device_fact_map()
         clone._cut_maps = self._cut_maps
         clone._qualified_low = self._qualified_low
-        clone._pool_token = self._pool_token
-        clone._pool_epoch = self._pool_epoch
         clone.parametric = self.parametric
         return clone
 
@@ -605,10 +587,11 @@ class StageDelayCalculator:
         its :func:`~repro.delay.pool.parallel_crossover` heuristic --
         the pool runs only when the resolved width exceeds 1, the host
         has more than one CPU and can fork, and the member devices of
-        the stages the arc cache cannot serve clear the warm or cold
-        floor.  A cold sweep weighs every device; the sweep after a
-        small edit weighs only the invalidated stages, so it stays
-        serial instead of re-forking the pool for them.  ``workers`` may
+        the stages the extracting calculator's arc cache cannot serve
+        clear the warm or cold floor.  A cold sweep weighs every device;
+        the sweep after a small edit weighs only the invalidated stages,
+        so it stays serial instead of re-forking the pool for them.
+        ``workers`` may
         be an int or ``"auto"`` (width from
         :func:`~repro.delay.pool.auto_workers`); ``parallel=True`` forces
         the pool (bumping the width to at least 2); ``parallel=False``
@@ -619,10 +602,13 @@ class StageDelayCalculator:
         merged in stage-index order -- the arc list is identical to the
         serial one.
 
-        The pool only *pre-fills* the arc cache; this serial walk is
-        authoritative, so quarantine decisions are made here (never in a
-        worker) and the result is deterministic regardless of pool
-        failures.  A stage whose extraction raises is re-raised as a typed
+        The pool only *pre-fills* the arc cache of the calculator that
+        extracts -- the term source of a corner sibling, which evaluates
+        the terms in its walk, or this calculator itself -- and stops at
+        this calculator's deadline.  The serial walk is authoritative,
+        so quarantine decisions are made here (never in a worker) and
+        the result is deterministic regardless of pool failures.  A
+        stage whose extraction raises is re-raised as a typed
         :class:`~repro.errors.ReproError` under the ``strict`` policy and
         quarantined (with a diagnostic) under ``quarantine``/
         ``best-effort``.
@@ -631,41 +617,39 @@ class StageDelayCalculator:
             self.workers if workers is None else pool.validate_workers(workers)
         )
         resolved = pool.auto_workers() if spec == pool.WORKERS_AUTO else spec
+        # A corner sibling's term source extracts (terms travel back
+        # over the wire); the walk below evaluates them serially, which
+        # is far too cheap to be worth pool traffic.
+        extractor = self._term_source or self
         if parallel is None:
             use_pool = resolved > 1 and pool.parallel_crossover(
                 sum(
                     len(self.graph[index].device_names)
-                    for index in self._uncached(active_clocks, open_gates)
+                    for index in extractor._uncached(active_clocks, open_gates)
                 ),
-                pool_warm=pool.warm_for(self),
+                pool_warm=pool.warm_for(extractor),
             )
         else:
             use_pool = bool(parallel)
             if use_pool and resolved < 2:
                 resolved = max(2, pool.available_cpus())
-        if self._term_source is not None and use_pool:
-            # Pooled symbolic sweep: the *source* extracts on the pool
-            # (terms travel back over the wire); this calculator then
-            # evaluates the terms serially in the walk below -- per-stage
-            # evaluation is far too cheap to be worth pool traffic.
-            self._term_source.all_arcs(
-                active_clocks, open_gates, parallel=parallel, workers=workers
-            )
-            use_pool = False
         self.trace.incr(
             "extract_parallel_sweeps" if use_pool else "extract_serial_sweeps"
         )
         cut_map = self._cut_map(active_clocks, open_gates)
         if use_pool:
             delivered = pool.extract(
-                self,
-                self._uncached(active_clocks, open_gates),
+                extractor,
+                extractor._uncached(active_clocks, open_gates),
                 active_clocks,
                 open_gates,
                 resolved,
+                self.deadline,
             )
             for index, arcs in delivered.items():
-                self._arc_cache[(index, cut_map.get(index, _NO_CUTS))] = arcs
+                extractor._arc_cache[
+                    (index, cut_map.get(index, _NO_CUTS))
+                ] = arcs
         result: list[StageArc] = []
         expired = False
         skipped = 0
@@ -937,14 +921,13 @@ class StageDelayCalculator:
             key = id(path_edges)
             timing = timing_cache.get(key)
             if timing is None:
-                spine = [
-                    (b, a, r, name)
-                    for (a, b, r, name) in reversed(path_edges)
-                ]
                 timing = self._timing_from_spine(
-                    spine, output, adjacency=adjacency, transition=FALL
+                    _spine_of(path_edges),
+                    output,
+                    adjacency=adjacency,
+                    transition=FALL,
                 )
-                if truncated and not timing.truncated:
+                if truncated:
                     timing = _mark_truncated(timing)
                 timing_cache[key] = timing
             result[gate] = timing
@@ -958,8 +941,6 @@ class StageDelayCalculator:
         """
         stage = ctx.stage
         arcs = []
-        rise_adjacency = ctx.pass_adjacency(RISE)
-        fall_adjacency = ctx.pass_adjacency(FALL)
         for dev in ctx.devices:
             if dev.kind is not DeviceKind.ENH:
                 continue
@@ -974,33 +955,11 @@ class StageDelayCalculator:
                 continue
             receiving = dev.other_channel(source_side)
             for output in stage.outputs | ({receiving} & stage.nodes):
-                rise = self._worst_tree_delay(
-                    start=output,
-                    targets={source_side},
-                    must_include={dev.name},
-                    adjacency=rise_adjacency,
-                    transition=RISE,
+                arc = self._transfer_arc(
+                    ctx, dev.gate, "gate", output, {source_side}, {dev.name}
                 )
-                fall = self._worst_tree_delay(
-                    start=output,
-                    targets={source_side},
-                    must_include={dev.name},
-                    adjacency=fall_adjacency,
-                    transition=FALL,
-                )
-                if rise is None and fall is None:
-                    continue
-                arcs.append(
-                    StageArc(
-                        stage_index=stage.index,
-                        trigger=dev.gate,
-                        via="gate",
-                        output=output,
-                        inverting=False,
-                        rise=rise,
-                        fall=fall,
-                    )
-                )
+                if arc is not None:
+                    arcs.append(arc)
         return arcs
 
     def _precharge_arcs(self, ctx: StageContext):
@@ -1043,23 +1002,11 @@ class StageDelayCalculator:
             for output in outputs:
                 if output != node and output in siblings:
                     continue  # it has its own (parallel) precharger
-                if output == node:
-                    spine = [(self.netlist.vdd, node, r_pre, dev.name)]
-                else:
-                    tail = self._worst_path(
-                        start=output,
-                        targets={node},
-                        must_include=set(),
-                        adjacency=filtered_adjacency,
-                    )
-                    if tail is None:
-                        continue
-                    path_edges, _ = tail
-                    spine = [(self.netlist.vdd, node, r_pre, dev.name)]
-                    spine.extend(
-                        (b, a, r, name)
-                        for (a, b, r, name) in reversed(path_edges)
-                    )
+                spine = self._spine_from_vdd(
+                    node, r_pre, dev.name, output, filtered_adjacency
+                )
+                if spine is None:
+                    continue
                 timing = self._timing_from_spine(
                     spine,
                     output,
@@ -1097,23 +1044,11 @@ class StageDelayCalculator:
             node = dev.other_channel(self.netlist.vdd)
             r_up = device_resistance(self.tech, dev, "pullup", RISE)
             for output in stage.outputs | ({node} & stage.nodes):
-                if output == node:
-                    spine = [(self.netlist.vdd, node, r_up, dev.name)]
-                else:
-                    tail = self._worst_path(
-                        start=output,
-                        targets={node},
-                        must_include=set(),
-                        adjacency=rise_adjacency,
-                    )
-                    if tail is None:
-                        continue
-                    path_edges, _ = tail
-                    spine = [(self.netlist.vdd, node, r_up, dev.name)]
-                    spine.extend(
-                        (b, a, r, name)
-                        for (a, b, r, name) in reversed(path_edges)
-                    )
+                spine = self._spine_from_vdd(
+                    node, r_up, dev.name, output, rise_adjacency
+                )
+                if spine is None:
+                    continue
                 timing = self._timing_from_spine(
                     spine, output, adjacency=rise_adjacency, transition=RISE
                 )
@@ -1159,10 +1094,7 @@ class StageDelayCalculator:
         ]
         if not pass_devices:
             return []
-        rise_adjacency = ctx.pass_adjacency(RISE)
-        fall_adjacency = ctx.pass_adjacency(FALL)
-        pulled_up = ctx.pulled_up
-        targets = set(pulled_up)
+        targets = set(ctx.pulled_up)
         for boundary in stage.boundary:
             if not self.netlist.is_rail(boundary):
                 targets.add(boundary)
@@ -1177,41 +1109,17 @@ class StageDelayCalculator:
             for output in stage.outputs:
                 if output == trigger:
                     continue
-                rise = self._worst_tree_delay(
-                    start=output,
-                    targets=targets,
-                    must_include=gated,
-                    adjacency=rise_adjacency,
-                    transition=RISE,
+                arc = self._transfer_arc(
+                    ctx, trigger, "gate", output, targets, gated
                 )
-                fall = self._worst_tree_delay(
-                    start=output,
-                    targets=targets,
-                    must_include=gated,
-                    adjacency=fall_adjacency,
-                    transition=FALL,
-                )
-                if rise is None and fall is None:
-                    continue
-                arcs.append(
-                    StageArc(
-                        stage_index=stage.index,
-                        trigger=trigger,
-                        via="gate",
-                        output=output,
-                        inverting=False,
-                        rise=rise,
-                        fall=fall,
-                    )
-                )
+                if arc is not None:
+                    arcs.append(arc)
         return arcs
 
     def _channel_arcs(self, ctx: StageContext):
         """Signal injected at an externally driven boundary channel node."""
         stage = ctx.stage
         arcs = []
-        rise_adjacency = ctx.pass_adjacency(RISE)
-        fall_adjacency = ctx.pass_adjacency(FALL)
         for boundary in stage.boundary:
             if self.netlist.is_rail(boundary):
                 continue
@@ -1224,34 +1132,57 @@ class StageDelayCalculator:
             if not flows_in:
                 continue
             for output in stage.outputs:
-                rise = self._worst_tree_delay(
-                    start=output,
-                    targets={boundary},
-                    must_include=set(),
-                    adjacency=rise_adjacency,
-                    transition=RISE,
+                arc = self._transfer_arc(
+                    ctx, boundary, "channel", output, {boundary}, set()
                 )
-                fall = self._worst_tree_delay(
-                    start=output,
-                    targets={boundary},
-                    must_include=set(),
-                    adjacency=fall_adjacency,
-                    transition=FALL,
-                )
-                if rise is None and fall is None:
-                    continue
-                arcs.append(
-                    StageArc(
-                        stage_index=stage.index,
-                        trigger=boundary,
-                        via="channel",
-                        output=output,
-                        inverting=False,
-                        rise=rise,
-                        fall=fall,
-                    )
-                )
+                if arc is not None:
+                    arcs.append(arc)
         return arcs
+
+    def _transfer_arc(
+        self,
+        ctx: StageContext,
+        trigger: str,
+        via: str,
+        output: str,
+        targets: set[str],
+        must_include: set[str],
+    ) -> StageArc | None:
+        """Non-inverting pass transfer from ``trigger`` into ``output``.
+
+        Each transition times the worst pass path from ``output`` back to
+        one of ``targets`` through a device of ``must_include`` (any
+        device when empty), as an RC tree rooted at the target reached
+        with that path as its spine.  ``None`` when neither transition
+        has such a path.
+        """
+        timings = {}
+        for transition in (RISE, FALL):
+            adjacency = ctx.pass_adjacency(transition)
+            found = self._worst_path(output, targets, must_include, adjacency)
+            timing = None
+            if found is not None:
+                path_edges, truncated = found
+                timing = self._timing_from_spine(
+                    _spine_of(path_edges),
+                    output,
+                    adjacency=adjacency,
+                    transition=transition,
+                )
+                if truncated:
+                    timing = _mark_truncated(timing)
+            timings[transition] = timing
+        if timings[RISE] is None and timings[FALL] is None:
+            return None
+        return StageArc(
+            stage_index=ctx.stage.index,
+            trigger=trigger,
+            via=via,
+            output=output,
+            inverting=False,
+            rise=timings[RISE],
+            fall=timings[FALL],
+        )
 
     # ------------------------------------------------------------------
     # Conduction-edge construction.
@@ -1495,37 +1426,6 @@ class StageDelayCalculator:
             return None
         return best, truncated
 
-    def _worst_tree_delay(
-        self,
-        start: str,
-        targets: set[str],
-        must_include: set[str],
-        *,
-        adjacency: dict,
-        transition: str,
-    ) -> ArcTiming | None:
-        """Worst path from ``start`` back to a target, evaluated as a tree.
-
-        The tree root is the reached target (the driving point, i.e. the
-        first node of the reversed spine); the path is the spine, and every
-        other conducting edge hangs capacitive branches.  ``transition``
-        names the edge set's transition for parametric term building.
-        """
-        found = self._worst_path(start, targets, must_include, adjacency)
-        if found is None:
-            return None
-        path_edges, truncated = found
-        # path_edges run start -> target; the spine must run root -> start.
-        spine = [
-            (b, a, r, name) for (a, b, r, name) in reversed(path_edges)
-        ]
-        timing = self._timing_from_spine(
-            spine, start, adjacency=adjacency, transition=transition
-        )
-        if truncated and not timing.truncated:
-            timing = _mark_truncated(timing)
-        return timing
-
     def _spine_groups(
         self, spine: list[tuple[str, str, float, str]]
     ) -> dict[int, str]:
@@ -1600,7 +1500,9 @@ class StageDelayCalculator:
         arithmetic at any technology point.
         """
         if self.model != "elmore":
-            return self._timing_from_spine_tree(spine, output, adjacency)
+            return self._timing_from_spine_tree(
+                spine, output, adjacency, transition
+            )
         build_term = self.parametric
         root = spine[0][0]
         node_cap = self._node_cap
@@ -1685,14 +1587,20 @@ class StageDelayCalculator:
         spine: list[tuple[str, str, float, str]],
         output: str,
         adjacency: dict,
+        transition: str,
     ) -> ArcTiming:
-        """General-model path: build the RC tree explicitly, then evaluate."""
+        """General-model path: build the RC tree explicitly, then evaluate.
+
+        With ``self.parametric`` set, the term records every tree edge in
+        insertion order with its resistance atom (:meth:`_edge_recipe`),
+        so :mod:`repro.delay.parametric` rebuilds the identical tree at
+        any technology point and evaluates it with :meth:`_tree_delay`.
+        """
         root = spine[0][0]
         tree = RCTree(root)
-        used_devices = []
-        for parent, child, r, name in spine:
+        edges = list(spine)
+        for parent, child, r, _name in spine:
             tree.add_child(parent, child, r, self._node_cap(child))
-            used_devices.append(name)
 
         spine_groups = self._spine_groups(spine)
         frontier = deque(child for _p, child, _r, _n in spine)
@@ -1715,20 +1623,39 @@ class StageDelayCalculator:
                 if group is not None and spine_groups.get(group, gate) != gate:
                     continue
                 tree.add_child(current, neighbor, r, self._node_cap(neighbor))
+                edges.append((current, neighbor, r, name))
                 frontier.append(neighbor)
 
+        delay, tau = self._tree_delay(tree, output)
+        path = tuple(name for _p, _c, _r, name in spine)
+        term = None
+        if self.parametric:
+            recipe = self._edge_recipe
+            atoms = tuple(
+                (parent, child, recipe(parent, child, name, transition))
+                for parent, child, _r, name in edges
+            )
+            term = ("tree", atoms, root, output, path, False)
+        return ArcTiming(delay=delay, tau=tau, path=path, term=term)
+
+    def _tree_delay(self, tree: RCTree, output: str) -> tuple[float, float]:
+        """``(delay, tau)`` of ``output`` under a tree model.
+
+        ``tau`` is the Elmore time constant, and ``delay`` the configured
+        metric scaled by the calibration factor.  Concrete extraction and
+        term evaluation (:mod:`repro.delay.parametric`) both call this on
+        trees built in the same order, so their floats are identical.
+        """
         tau = elmore_delay(tree, output)
-        k = self._k_factor(root)
-        if root == self.netlist.gnd:
+        k = self._k_factor(tree.root)
+        if tree.root == self.netlist.gnd:
             # Ratioed fight: the depletion pull-up keeps sourcing current
             # while the pull-down path discharges the node, stretching the
             # fall.  First-order factor R_up / (R_up - R_down), clamped --
             # a legal ratio guarantees R_up >> R_down, and ERC catches the
             # rest.
             k *= self._ratio_derate(output, tree.r_root(output))
-        if self.model == "elmore":
-            delay = k * tau
-        elif self.model == "lumped":
+        if self.model == "lumped":
             delay = k * lumped_delay(tree, output)
         elif self.model == "pr-min":
             delay = pr_bounds(tree, output, _CROSSING).lower * (
@@ -1738,7 +1665,7 @@ class StageDelayCalculator:
             delay = pr_bounds(tree, output, _CROSSING).upper * (
                 k / math.log(2.0)
             )
-        return ArcTiming(delay=delay, tau=tau, path=tuple(used_devices))
+        return delay, tau
 
     def _ratio_derate(self, output: str, r_down: float) -> float:
         """Fall-delay stretch from the pull-up fighting the discharge."""
@@ -1780,22 +1707,11 @@ class StageDelayCalculator:
         """Worst rise of ``output``: vdd -> load -> pass path -> output."""
         best: ArcTiming | None = None
         for node, r_load in pulled_up.items():
-            if node == output:
-                spine = [(self.netlist.vdd, node, r_load, f"load@{node}")]
-            else:
-                tail = self._worst_path(
-                    start=output,
-                    targets={node},
-                    must_include=set(),
-                    adjacency=adjacency,
-                )
-                if tail is None:
-                    continue
-                path_edges, _trunc = tail
-                spine = [(self.netlist.vdd, node, r_load, f"load@{node}")]
-                spine.extend(
-                    (b, a, r, name) for (a, b, r, name) in reversed(path_edges)
-                )
+            spine = self._spine_from_vdd(
+                node, r_load, f"load@{node}", output, adjacency
+            )
+            if spine is None:
+                continue
             timing = self._timing_from_spine(
                 spine, output, adjacency=adjacency, transition=RISE
             )
@@ -1804,6 +1720,34 @@ class StageDelayCalculator:
             # in a "max" node so corners re-decide the winner.
             best = timing if best is None else _worse(best, timing)
         return best
+
+    def _spine_from_vdd(
+        self,
+        node: str,
+        r_head: float,
+        head: str,
+        output: str,
+        adjacency: dict,
+    ) -> list[tuple[str, str, float, str]] | None:
+        """The spine vdd -> ``node`` -> ``output`` of a charging arc.
+
+        The head edge charges ``node`` from vdd through ``r_head`` (a
+        precharge device, a follower, or the ``load@node`` pull-up
+        combine); the worst pass path of ``adjacency`` carries the
+        charge on to ``output``.  ``None`` when no such path exists.
+        """
+        spine = [(self.netlist.vdd, node, r_head, head)]
+        if output != node:
+            tail = self._worst_path(
+                start=output,
+                targets={node},
+                must_include=set(),
+                adjacency=adjacency,
+            )
+            if tail is None:
+                return None
+            spine.extend(_spine_of(tail[0]))
+        return spine
 
     def _driving_terminal(self, dev: Transistor) -> str | None:
         """The channel terminal signal flows out of (None if unresolved)."""
@@ -1819,6 +1763,17 @@ class StageDelayCalculator:
             ):
                 return terminal
         return dev.source
+
+
+def _spine_of(
+    path_edges: list[tuple[str, str, float, str]],
+) -> list[tuple[str, str, float, str]]:
+    """A path searched from the output, as a spine from its root.
+
+    The path searches walk back from the measured output to the driving
+    point; a spine runs the other way, so edges and their order flip.
+    """
+    return [(b, a, r, name) for (a, b, r, name) in reversed(path_edges)]
 
 
 def _merge_arcs(arcs: list[StageArc]) -> list[StageArc]:
@@ -1857,9 +1812,12 @@ def _worse(a: ArcTiming | None, b: ArcTiming | None) -> ArcTiming | None:
 
 
 def _mark_truncated(timing: ArcTiming) -> ArcTiming:
-    """Set ``truncated`` on a timing and inside its spine term, if any."""
+    """Set ``truncated`` on a timing and inside its term, if any.
+
+    Only fresh spine or tree timings are marked, never a ``max`` merge;
+    both term shapes end with the flag.
+    """
     term = timing.term
-    if term is not None and term[0] == "spine":
-        term = term[:6] + (True,)
-        return replace(timing, truncated=True, term=term)
-    return replace(timing, truncated=True)
+    if term is not None:
+        term = term[:-1] + (True,)
+    return replace(timing, truncated=True, term=term)

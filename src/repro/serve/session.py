@@ -32,11 +32,10 @@ session, not the request.
 Per-request corners: ``corner`` retargets a query to another technology
 point (a corner shorthand like ``"slow"`` or a full parameter dict)
 without reloading the design.  Cache keys include the resolved
-parameter point, and wherever MCMM would evaluate terms
-(:func:`repro.core.mcmm.term_source`: the Elmore model, strict policy,
-no deadline) the corner run *evaluates* the session's parametric delay
-terms (:mod:`repro.delay.parametric`) instead of re-extracting -- a
-warm what-if costs one evaluation pass.
+parameter point, and the corner run *evaluates* the session's
+parametric delay terms (:mod:`repro.delay.parametric`) instead of
+re-extracting, under every delay model, policy and deadline -- a warm
+what-if costs one evaluation pass.
 
 Durability: with a :class:`~repro.serve.journal.DesignJournal` attached,
 every applied delta is appended (checksummed, ``fsync``'d) *before* the
@@ -281,11 +280,10 @@ class DesignSession:
         with self._policy(policy):
             engine = self.analyzer
             if corner is not None:
-                from ..core.mcmm import Scenario, term_source
+                from ..core.mcmm import Scenario
 
-                engine = self.analyzer._scenario_analyzer(
-                    Scenario(name="corner", tech=corner),
-                    term_source=term_source(engine, deadline),
+                engine = engine._scenario_analyzer(
+                    Scenario(name="corner", tech=corner)
                 )
             result = engine.analyze(
                 input_arrivals=input_arrivals,

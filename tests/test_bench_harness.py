@@ -1,5 +1,9 @@
 """Tests for the shared benchmark harness (repro.bench)."""
 
+import importlib
+import json
+import pathlib
+
 import pytest
 
 from repro.bench import (
@@ -84,3 +88,45 @@ class TestSpeedGate:
         gate = speed_gate(0.9, 1.0, {"affinity_cpus": 1})
         assert gate["applied"] is False and gate["measured"] == 0.9
         assert "1 usable CPU" in gate["skip_reason"]
+
+
+#: A payload each harness's ``main`` can summarize, per module.
+_STUB_PAYLOADS = {
+    "perf": {"results": {}},
+    "mcmm": {
+        "circuit": "stub",
+        "mcmm_speedup": 1.0,
+        "speedup_gate": {"applied": False},
+        "dominant": "slow",
+    },
+    "serve": {"results": [], "recovery": []},
+}
+
+
+class TestOutputPath:
+    """``--json PATH`` sends a harness's ledger to PATH, and nowhere else,
+    so a smoke run never overwrites the committed ``BENCH_*.json``."""
+
+    @pytest.mark.parametrize("name", sorted(_STUB_PAYLOADS))
+    def test_main_writes_only_the_given_path(
+        self, name, tmp_path, monkeypatch
+    ):
+        module = importlib.import_module(f"repro.bench.{name}")
+        payload = dict(_STUB_PAYLOADS[name], stub=True)
+        monkeypatch.setattr(module, "run", lambda **_kw: (payload, []))
+        written = []
+        real_write = module.atomic_write_json
+
+        def recording_write(path, data):
+            written.append(pathlib.Path(path))
+            real_write(path, data)
+
+        monkeypatch.setattr(module, "atomic_write_json", recording_write)
+        ledger = module.OUTPUT_PATH
+        before = ledger.stat().st_mtime_ns if ledger.exists() else None
+        out = tmp_path / "ledger.json"
+        assert module.main(["--smoke", "--json", str(out)]) == 0
+        assert written == [out]
+        assert json.loads(out.read_text()) == payload
+        after = ledger.stat().st_mtime_ns if ledger.exists() else None
+        assert after == before

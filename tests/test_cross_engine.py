@@ -16,6 +16,19 @@ from repro.errors import SimulationError
 from repro.sim import RSim, SpiceLite, SwitchSim, TransientOptions, constant, X
 
 
+#: Why a pinned seed breaks the settle-time bound (ROADMAP, defects).
+_MISSING_EXCLUSIVE_PAIR = (
+    "a mux select pair has no exclusive group, so a false discharge arc "
+    "closes a loop whose cut drops real arcs (ROADMAP item 8)"
+)
+_MUX_DATA_CHARGE_SHARING = (
+    "a gate output that also feeds a mux data input is disturbed by "
+    "charge sharing when a later select closes that pass switch; static "
+    "analysis has no arc from the switch's gate to its source side "
+    "(ROADMAP item 5)"
+)
+
+
 class TestSwitchVsEvent:
     @given(st.integers(0, 2**31 - 1), st.integers(0, 255))
     @settings(max_examples=15, deadline=None)
@@ -103,6 +116,39 @@ class TestEventVsStatic:
                 continue
             static = result.arrival_of(node)
             if static is None:
+                continue
+            bound = max(static * 1.5, static + 2e-9)
+            assert settle - since <= bound, node
+
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            pytest.param(seed, marks=pytest.mark.xfail(
+                strict=True, raises=AssertionError, reason=reason
+            ))
+            for seed, reason in [
+                (760420865, _MISSING_EXCLUSIVE_PAIR),
+                *((seed, _MUX_DATA_CHARGE_SHARING) for seed in (
+                    105620218, 55483359, 1834504243, 708578651,
+                    1627608484, 1657438555,
+                )),
+            ]
+        ],
+    )
+    def test_known_random_logic_counterexamples(self, seed):
+        # The bound of the test above, pinned on the seeds known to break
+        # it, so a fix shows up as an unexpected pass.
+        net = random_logic(120, seed=seed)
+        result = TimingAnalyzer(net).analyze()
+        rsim = RSim(net, max_events_per_node=256)
+        inputs = sorted(net.inputs)
+        rsim.run_vector({name: 0 for name in inputs})
+        since = rsim.now
+        rsim.run_vector({name: 1 for name in inputs})
+        for node in net.nodes:
+            settle = rsim.settle_time_of(node, since)
+            static = result.arrival_of(node)
+            if settle is None or static is None:
                 continue
             bound = max(static * 1.5, static + 2e-9)
             assert settle - since <= bound, node

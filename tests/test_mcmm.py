@@ -7,6 +7,7 @@ flow inference, stage decomposition) run exactly once for the whole
 sweep and at most one persistent worker pool survives it.
 """
 
+import dataclasses
 import json
 import multiprocessing
 
@@ -24,7 +25,7 @@ from repro.core.mcmm import (
     corner_scenarios,
 )
 from repro.core.report import validate_report
-from repro.delay import pool_diagnostics, shutdown_pool
+from repro.delay import DELAY_MODELS, pool_diagnostics, shutdown_pool
 from repro.errors import TimingError
 from repro.netlist import sim_dumps
 from repro.tech import NMOS4, Technology
@@ -35,11 +36,18 @@ def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _standalone_json(make, corner: str) -> str:
+def _standalone_json(make, corner: str, **options) -> str:
     """A fresh single-corner analysis, serialized deterministically."""
     net = make()
-    tv = TimingAnalyzer(net, tech=net.tech.corner(corner))
+    tv = TimingAnalyzer(net, tech=net.tech.corner(corner), **options)
     return json.dumps(tv.analyze().to_json(), sort_keys=True)
+
+
+def _pass_heavy(tech: Technology) -> Technology:
+    """A non-uniform point: pass devices three times as resistive."""
+    return dataclasses.replace(
+        tech, name="pass3", r_sq_enh_pass=tech.r_sq_enh_pass * 3
+    )
 
 
 class TestScenarioCoercion:
@@ -77,27 +85,44 @@ class TestScenarioCoercion:
 
 
 class TestParitySerial:
-    """Every zoo circuit, every corner: MCMM == standalone, bytewise."""
+    """Every zoo circuit, every corner, every delay model, strict and
+    quarantine: MCMM == standalone, bytewise.  The scenarios evaluate
+    terms; the standalone runs extract concretely."""
 
     @pytest.mark.parametrize(
         "name,make", parity_circuits(), ids=[n for n, _ in parity_circuits()]
     )
     def test_scenarios_match_standalone(self, name, make):
-        net = make()
-        mcmm = TimingAnalyzer(net).analyze_mcmm(corner_scenarios(net.tech))
-        for corner in CORNER_NAMES:
-            ours = json.dumps(
-                mcmm.result(corner).to_json(), sort_keys=True
-            )
-            assert ours == _standalone_json(make, corner), (
-                f"{name}: scenario {corner!r} diverged from its "
-                "standalone single-corner analysis"
-            )
+        for model in DELAY_MODELS:
+            for policy in ("strict", "quarantine"):
+                options = {"model": model, "on_error": policy}
+                net = make()
+                pass3 = _pass_heavy(net.tech)
+                mcmm = TimingAnalyzer(net, **options).analyze_mcmm(
+                    corner_scenarios(net.tech) + [Scenario("pass3", pass3)]
+                )
+                for corner in CORNER_NAMES:
+                    ours = json.dumps(
+                        mcmm.result(corner).to_json(), sort_keys=True
+                    )
+                    assert ours == _standalone_json(make, corner, **options), (
+                        f"{name} {model} {policy}: scenario {corner!r} "
+                        "diverged from its standalone analysis"
+                    )
+                standalone = TimingAnalyzer(
+                    make(), tech=pass3, **options
+                ).analyze()
+                assert json.dumps(
+                    mcmm.result("pass3").to_json(), sort_keys=True
+                ) == json.dumps(standalone.to_json(), sort_keys=True), (
+                    f"{name} {model} {policy}: the pass3 scenario diverged"
+                )
 
 
 class TestParityParallel:
-    """Same sweep with pooled extraction forced on: the retargeted
-    workers must reproduce the serial single-corner bytes exactly."""
+    """Same sweep with pooled extraction forced on, for Elmore and one
+    tree model: the terms the workers extract must reproduce the serial
+    single-corner bytes exactly."""
 
     @pytest.mark.skipif(not _fork_available(), reason="fork not available")
     @pytest.mark.parametrize(
@@ -106,15 +131,20 @@ class TestParityParallel:
     def test_pooled_scenarios_match_serial_standalone(
         self, name, make, forced_pool
     ):
-        net = make()
-        tv = TimingAnalyzer(net, workers=2, trace=forced_pool)
-        mcmm = tv.analyze_mcmm(corner_scenarios(net.tech))
-        for corner in CORNER_NAMES:
-            ours = json.dumps(mcmm.result(corner).to_json(), sort_keys=True)
-            assert ours == _standalone_json(make, corner), (
-                f"{name}: pooled scenario {corner!r} diverged from "
-                "the serial standalone analysis"
+        for model in ("elmore", "pr-max"):
+            net = make()
+            tv = TimingAnalyzer(
+                net, model=model, workers=2, trace=forced_pool
             )
+            mcmm = tv.analyze_mcmm(corner_scenarios(net.tech))
+            for corner in CORNER_NAMES:
+                ours = json.dumps(
+                    mcmm.result(corner).to_json(), sort_keys=True
+                )
+                assert ours == _standalone_json(make, corner, model=model), (
+                    f"{name} {model}: pooled scenario {corner!r} diverged "
+                    "from the serial standalone analysis"
+                )
 
 
 class TestStructuralSharing:

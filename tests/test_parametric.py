@@ -20,6 +20,7 @@ from repro import TimingAnalyzer
 from repro.bench.perf import parity_circuits
 from repro.circuits import inverter_chain, ripple_adder
 from repro.core.mcmm import Scenario, corner_scenarios
+from repro.delay import DELAY_MODELS, StageDelayCalculator
 from repro.delay.parametric import (
     PARAMETERS,
     SENSITIVITY_REL_STEP,
@@ -28,6 +29,7 @@ from repro.delay.parametric import (
     perturbed,
 )
 from repro.errors import ReproError
+from repro.robust import ERROR_POLICIES
 from repro.tech import NMOS4
 from repro.trace import Trace
 
@@ -106,16 +108,37 @@ class TestCornerSweepUsesTerms:
         assert trace.counters.get("parametric_stage_evals", 0) > 0
         assert trace.counters.get("structural_runs", 0) == 1
 
-    def test_non_elmore_model_falls_back_to_concrete(self):
-        trace = Trace()
-        net = ripple_adder(2)
-        tv = TimingAnalyzer(net, model="pr-max", trace=trace)
-        mcmm = tv.analyze_mcmm(corner_scenarios(net.tech))
-        assert trace.counters.get("parametric_stage_evals", 0) == 0
-        standalone = TimingAnalyzer(
-            ripple_adder(2), tech=net.tech.corner("fast"), model="pr-max"
-        ).analyze()
-        assert _result_bytes(mcmm.result("fast")) == _result_bytes(standalone)
+    def test_every_model_and_policy_evaluates_terms(self, monkeypatch):
+        # Every extraction runs at the hosting analyzer's technology:
+        # corners only evaluate terms, whatever the model or policy.
+        extracted_at = set()
+        gate_arcs = StageDelayCalculator._gate_arcs
+
+        def recording(calc, ctx):
+            extracted_at.add(calc.tech)
+            return gate_arcs(calc, ctx)
+
+        monkeypatch.setattr(StageDelayCalculator, "_gate_arcs", recording)
+        for model in DELAY_MODELS:
+            for policy in ERROR_POLICIES:
+                trace = Trace()
+                net = ripple_adder(2)
+                tv = TimingAnalyzer(
+                    net, model=model, on_error=policy, trace=trace
+                )
+                mcmm = tv.analyze_mcmm(corner_scenarios(net.tech))
+                assert trace.counters.get("parametric_stage_evals", 0) > 0
+                assert extracted_at == {net.tech}, (model, policy)
+                standalone = TimingAnalyzer(
+                    ripple_adder(2),
+                    tech=net.tech.corner("fast"),
+                    model=model,
+                    on_error=policy,
+                ).analyze()
+                assert _result_bytes(mcmm.result("fast")) == _result_bytes(
+                    standalone
+                ), (model, policy)
+                extracted_at.clear()
 
 
 class TestEvaluatorSurface:
@@ -131,29 +154,32 @@ class TestEvaluatorSurface:
         with pytest.raises(ValueError, match="no parametric term"):
             evaluate_timing(calc, stage, concrete)
 
-    def test_evaluate_arcs_none_on_concrete_input(self):
+    def test_evaluate_arcs_rejects_concrete_input(self):
         tv = TimingAnalyzer(inverter_chain(3))
         calc = tv.calculator
         stage = tv.stage_graph[0]
         arcs = calc.arcs(stage, None, frozenset())
-        assert evaluate_arcs(calc, stage, arcs) is None
+        with pytest.raises(ValueError, match="no parametric term"):
+            evaluate_arcs(calc, stage, arcs)
 
     def test_symbolic_source_carries_terms(self):
-        tv = TimingAnalyzer(inverter_chain(3))
-        source = tv.calculator.parametric_source()
-        stage = tv.stage_graph[0]
-        arcs = source.arcs(stage, None, frozenset())
-        timings = [
-            t for arc in arcs for t in (arc.rise, arc.fall) if t is not None
-        ]
-        assert timings and all(t.term is not None for t in timings)
-        evaluated = evaluate_arcs(tv.calculator, stage, arcs)
-        assert [
-            (t.delay, t.tau)
-            for arc in evaluated
-            for t in (arc.rise, arc.fall)
-            if t is not None
-        ] == [(t.delay, t.tau) for t in timings]
+        for model in DELAY_MODELS:
+            tv = TimingAnalyzer(inverter_chain(3), model=model)
+            source = tv.calculator.parametric_source()
+            stage = tv.stage_graph[0]
+            arcs = source.arcs(stage, None, frozenset())
+            timings = [
+                t for arc in arcs for t in (arc.rise, arc.fall)
+                if t is not None
+            ]
+            assert timings and all(t.term is not None for t in timings)
+            evaluated = evaluate_arcs(tv.calculator, stage, arcs)
+            assert [
+                (t.delay, t.tau)
+                for arc in evaluated
+                for t in (arc.rise, arc.fall)
+                if t is not None
+            ] == [(t.delay, t.tau) for t in timings], model
 
     def test_perturbed_rejects_unknown_parameter(self):
         with pytest.raises(ValueError, match="unknown delay-model parameter"):
@@ -313,6 +339,22 @@ class TestSensitivities:
             2.0 * SENSITIVITY_REL_STEP
         )
         assert record.sensitivity == pytest.approx(expected, rel=1e-12)
+
+    def test_sensitivity_sweep_evaluates_terms_under_every_model(self):
+        for model in DELAY_MODELS:
+            for policy in ERROR_POLICIES:
+                trace = Trace()
+                tv = TimingAnalyzer(
+                    ripple_adder(2), model=model, on_error=policy,
+                    trace=trace,
+                )
+                result = tv.analyze()
+                explanation = tv.explain(
+                    result.paths[0].endpoint, result=result,
+                    sensitivity=True,
+                )
+                assert explanation.sensitivities, (model, policy)
+                assert trace.counters.get("parametric_stage_evals", 0) > 0
 
     def test_mcmm_explain_sensitivity_passthrough(self):
         net = ripple_adder(2)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import multiprocessing
 import threading
 import time
 
@@ -27,6 +28,7 @@ import pytest
 from repro import TimingAnalyzer, __version__
 from repro.circuits import inverter_chain, random_logic
 from repro.core import REPORT_SCHEMA_VERSION, validate_report
+from repro.delay import DELAY_MODELS, pool, pool_diagnostics, shutdown_pool
 from repro.netlist import sim_dumps, sim_loads
 from repro.serve import (
     DesignSession,
@@ -287,26 +289,27 @@ class TestDesignSession:
     @pytest.mark.parametrize(
         "deadline", [None, 600.0], ids=["no-deadline", "ample-deadline"]
     )
-    @pytest.mark.parametrize("policy", ["strict", "quarantine"])
+    @pytest.mark.parametrize("policy", ["strict", "quarantine", "best-effort"])
     def test_corner_request_matches_standalone(
         self, logic_sim, policy, deadline
     ):
-        # Every cell reports what a standalone analysis at the corner
-        # does; terms serve the corner only where MCMM evaluates them.
-        session = DesignSession("logic", logic_sim)
-        trace = Trace()
-        session.analyzer.calculator.trace = trace
-        payload, cached, _epoch = session.analyze(
-            corner="slow", on_error=policy, deadline=deadline
-        )
-        assert not cached
-        net = sim_loads(logic_sim, name="logic", tech=NMOS4)
-        standalone = TimingAnalyzer(
-            net, tech=net.tech.corner("slow"), on_error=policy
-        ).analyze()
-        assert payload == json.dumps(standalone.to_json())
-        evaluated = trace.counters.get("parametric_stage_evals", 0) > 0
-        assert evaluated == (policy == "strict" and deadline is None)
+        # Every cell, under every delay model, reports what a standalone
+        # analysis at the corner does, and terms serve every cell.
+        for model in DELAY_MODELS:
+            session = DesignSession("logic", logic_sim, model=model)
+            trace = Trace()
+            session.analyzer.calculator.trace = trace
+            payload, cached, _epoch = session.analyze(
+                corner="slow", on_error=policy, deadline=deadline
+            )
+            assert not cached
+            net = sim_loads(logic_sim, name="logic", tech=NMOS4)
+            standalone = TimingAnalyzer(
+                net, tech=net.tech.corner("slow"), model=model,
+                on_error=policy,
+            ).analyze()
+            assert payload == json.dumps(standalone.to_json()), model
+            assert trace.counters.get("parametric_stage_evals", 0) > 0, model
 
 
 # ----------------------------------------------------------------------
@@ -443,6 +446,41 @@ class TestServerEndpoints:
 
 
 class TestDeadlines:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="fork not available",
+    )
+    def test_expired_pooled_corner_request_starts_no_pool(
+        self, logic_sim, monkeypatch
+    ):
+        # The pool would take this corner's term extraction, but the
+        # request's deadline has passed before the sweep starts.
+        monkeypatch.setattr(pool, "PARALLEL_MIN_DEVICES", 0)
+        monkeypatch.setattr(pool, "PARALLEL_COLD_MIN_DEVICES", 0)
+        monkeypatch.setattr(pool, "available_cpus", lambda: 2)
+        shutdown_pool()
+        started = pool_diagnostics()["pools_started"]
+        server = TimingServer(port=0, workers=2).start()
+        try:
+            request(server.port, "POST", "/designs/logic", {"sim": logic_sim})
+            body = {"corner": "slow", "deadline_ms": 0.001, "cache": "bypass"}
+            status, payload, _ = request(
+                server.port, "POST", "/designs/logic/analyze", body
+            )
+            assert status == 504
+            assert "deadline" in payload["error"]["message"]
+            status, payload, _ = request(
+                server.port, "POST", "/designs/logic/analyze",
+                dict(body, on_error="quarantine"),
+            )
+            assert status == 200
+            records = payload["report"]["diagnostics"]["records"]
+            assert "deadline-exceeded" in [r["code"] for r in records]
+            assert pool_diagnostics()["pools_started"] == started
+        finally:
+            server.stop()
+            shutdown_pool()
+
     def test_strict_overrun_is_504(self, server, logic_sim):
         port = server.port
         request(port, "POST", "/designs/logic", {"sim": logic_sim})
