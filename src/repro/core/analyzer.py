@@ -544,7 +544,8 @@ class TimingAnalyzer:
         calculator (``parametric_source()``) at the scenario's corner
         (see :mod:`repro.delay.parametric`), and the rest of its
         ``analyze()`` runs the code a standalone analyzer at that
-        corner would.
+        corner would.  A sibling's own siblings (the sensitivity sweep
+        of an MCMM ``explain``) evaluate the same host terms.
         """
         clone = object.__new__(TimingAnalyzer)
         clone.trace = self.trace
@@ -559,7 +560,10 @@ class TimingAnalyzer:
         clone.calculator = self.calculator.retarget(
             scenario.tech if scenario.tech is not None else self.tech
         )
-        clone.calculator._term_source = self.calculator.parametric_source()
+        clone.calculator._term_source = (
+            self.calculator._term_source
+            or self.calculator.parametric_source()
+        )
         clone.workers = clone.calculator.workers
         clone.tech = clone.calculator.tech
         clone.clock = (

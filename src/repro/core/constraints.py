@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..clocks import TwoPhaseClock
-from ..delay import FALL, RISE, StageDelayCalculator
+from ..delay import FALL, RISE, StageContext, StageDelayCalculator
 from ..errors import ClockingError
 from ..netlist import DeviceKind, Netlist, Transistor
 from ..stages import StageGraph
@@ -328,17 +328,14 @@ def _find_races(
     # receiving node of one latch reaching the data side of another through
     # the phase-active pass network means both are transparent together.
     for stage in calculator.graph:
-        member_latches = [
-            d for d in latches if d.name in set(stage.device_names)
-        ]
+        members = set(stage.device_names)
+        member_latches = [d for d in latches if d.name in members]
         if len(member_latches) < 2:
             continue
         cut = calculator._cut_map(frozenset(clocks), frozenset()).get(
             stage.index, frozenset()
         )
-        edges = calculator._pass_edges(
-            stage, calculator.graph.devices_of(stage), RISE, cut
-        )
+        edges = StageContext(calculator, stage, cut).pass_edges(RISE)
         adjacency: dict[str, set[str]] = {}
         for a, b, _r, _n in edges:
             adjacency.setdefault(a, set()).add(b)

@@ -23,10 +23,19 @@ sub-network, with TV's value-independent worst-casing:
 
 The RC tree metric is selected by ``model``: ``"elmore"`` (default),
 ``"lumped"``, ``"pr-min"``, or ``"pr-max"`` (ablation experiment R-T6).
-Path enumeration is exact up to ``max_paths`` simple paths per arc; if the
-cap is hit the arc is marked ``truncated`` (never silently).  The search
-is a depth-first walk in adjacency order, so which paths a truncated arc
-saw -- and hence its delay -- follows that order.
+
+One path search and one branch walk serve every arc family and delay
+model.  The search (:meth:`StageDelayCalculator._worst_paths`) walks once
+from an output back to its driving points and keeps the first
+maximum-resistance path overall, per gate, or per device, so one walk
+times a discharge or a pass select for every trigger at once.  The
+branch walk (:meth:`StageDelayCalculator._timing_from_spine`) hangs the
+other conducting devices on that path and evaluates the RC tree under
+every model.  Path enumeration is exact up to ``max_paths`` simple paths
+per search; if the cap is hit the arc is marked ``truncated`` (never
+silently).  The search is a depth-first walk in adjacency order, so
+which paths a truncated arc saw -- and hence its delay -- follows that
+order.
 
 A corner is never extracted.  The symbolic twin of a calculator
 (:meth:`StageDelayCalculator.parametric_source`) records each timing as
@@ -45,12 +54,12 @@ two-phase design cut nothing in its phi1, phi2 and all-transparent
 sweeps alike -- is extracted once.
 
 Extraction is organized around a per-stage :class:`StageContext` that
-computes the conduction/pass edge lists and their adjacency maps **once**
-per ``(stage, cut set)`` and shares them across all six arc-family
-extractors; adjacency entries pre-resolve the per-device
-lookups (gate, one-hot group, flow legality, boundary-ness) so the
-path-search inner loops run on plain tuples.  Because stages are
-channel-connected components they are independent, and
+computes the conduction edge lists (the pass network is their part off
+the rails) and their adjacency maps **once** per ``(stage, cut set)``
+and shares them across all six arc-family extractors; adjacency entries
+pre-resolve the per-device lookups (gate, one-hot group, flow legality,
+boundary-ness) so the path-search inner loops run on plain tuples.
+Because stages are channel-connected components they are independent, and
 :meth:`StageDelayCalculator.all_arcs` can fan extraction out over the
 fork pool of :mod:`repro.delay.pool` (``parallel=True`` /
 ``workers=N`` / ``workers="auto"``) with a deterministic stage-index
@@ -93,6 +102,12 @@ _CROSSING = 0.5
 
 #: The cut set of a stage the sweep cuts nothing in.
 _NO_CUTS: frozenset[str] = frozenset()
+
+#: What :meth:`StageDelayCalculator._worst_paths` keeps a worst path per:
+#: the hop field (see :meth:`StageDelayCalculator._build_adjacency`) of
+#: each device, or of each gate, on the path.
+_BY_DEVICE = 2
+_BY_GATE = 3
 
 
 #: Monotonic identity for calculators; with the invalidation epoch it
@@ -152,12 +167,12 @@ class StageContext:
 
     Holds everything the six arc-family extractors need about one
     ``(stage, cut set)`` combination, computed lazily and exactly once:
-    resolved member devices, conduction/pass edge lists per transition,
-    their adjacency maps (with per-hop device facts pre-resolved), and
-    the pulled-up node table.  Before this existed, every extractor
-    rebuilt its own edge lists and every path search rebuilt its own
-    adjacency dict -- roughly 8 edge builds and 10+ adjacency builds per
-    stage per extraction.
+    resolved member devices, conduction edge lists per transition,
+    the conduction and pass adjacency maps (with per-hop device facts
+    pre-resolved), and the pulled-up node table.  Before this existed,
+    every extractor rebuilt its own edge lists and every path search
+    rebuilt its own adjacency dict -- roughly 8 edge builds and 10+
+    adjacency builds per stage per extraction.
 
     ``cut`` names the member devices the sweep cuts (see
     :meth:`StageDelayCalculator._cut_map`).  It is the context's only
@@ -170,7 +185,6 @@ class StageContext:
         "stage",
         "devices",
         "cut",
-        "_pass",
         "_cond",
         "_adj",
         "_pulled",
@@ -187,7 +201,6 @@ class StageContext:
         self.stage = stage
         self.devices = calc.graph.devices_of(stage)
         self.cut = cut
-        self._pass: dict[str, list] = {}
         self._cond: dict[str, list] = {}
         self._adj: dict[tuple[str, str], dict] = {}
         self._pulled: dict[str, float] | None = None
@@ -198,21 +211,21 @@ class StageContext:
         return dev.name in self.cut
 
     def pass_edges(self, transition: str) -> list:
-        """Pass-network edges for a transition (computed once)."""
-        edges = self._pass.get(transition)
-        if edges is None:
-            edges = self.calc._pass_edges(
-                self.stage, self.devices, transition, self.cut
-            )
-            self._pass[transition] = edges
-        return edges
+        """Pass-network edges for a transition: the conduction edges
+        that touch no rail, in their order."""
+        gnd = self.calc.netlist.gnd
+        return [
+            edge
+            for edge in self.conduction_edges(transition)
+            if edge[0] != gnd and edge[1] != gnd
+        ]
 
     def conduction_edges(self, transition: str) -> list:
         """Discharge-path edges for a transition (computed once)."""
         edges = self._cond.get(transition)
         if edges is None:
             edges = self.calc._conduction_edges(
-                self.stage, self.devices, transition, self.cut
+                self.devices, transition, self.cut
             )
             self._cond[transition] = edges
         return edges
@@ -227,11 +240,18 @@ class StageContext:
         return adj
 
     def conduction_adjacency(self, transition: str) -> dict:
-        """Adjacency map of the conduction edges (computed once)."""
+        """Adjacency map of the conduction edges (computed once).
+
+        A discharge path may run against the inferred flow, so every hop
+        is searchable backward (``in_ok``); the branch walk still follows
+        flow (``out_ok``).
+        """
         key = ("cond", transition)
         adj = self._adj.get(key)
         if adj is None:
-            adj = self.calc._build_adjacency(self.conduction_edges(transition))
+            adj = self.calc._build_adjacency(
+                self.conduction_edges(transition), backward_flow=False
+            )
             self._adj[key] = adj
         return adj
 
@@ -804,10 +824,13 @@ class StageDelayCalculator:
         }
         arcs = []
         for output in stage.outputs:
-            # One enumeration serves every trigger: the DFS records, for
+            # One enumeration serves every trigger: the search keeps, for
             # each gate appearing on a discharge path, the worst path that
             # includes a device it gates.
-            fall_by_gate = self._worst_fall_by_gate(output, fall_adjacency)
+            fall_by_gate = self._worst_timings(
+                output, {self.netlist.gnd}, fall_adjacency, FALL, _BY_GATE,
+                triggers,
+            )
             rise = self._rise_via_pullup(output, pulled_up, rise_adjacency)
             for trigger in triggers:
                 fall = fall_by_gate.get(trigger)
@@ -833,106 +856,6 @@ class StageDelayCalculator:
                 )
         return arcs
 
-    def _worst_fall_by_gate(
-        self, output: str, adjacency: dict
-    ) -> dict[str, ArcTiming]:
-        """Worst discharge path per triggering gate, in one enumeration.
-
-        Walks the one-hot-consistent simple paths from ``output`` to gnd
-        once, depth first in adjacency order, and for every gate node
-        appearing on a path keeps the maximum-resistance path through one
-        of its devices (the first such path on ties).  Equivalent to
-        running :meth:`_worst_path` with ``must_include`` per trigger, at
-        a fraction of the cost on wide stages.  The walk counts the
-        devices each gate has on the current path, so a path reaching gnd
-        costs one comparison per distinct gate on it, and is copied only
-        when it improves some gate's worst path.  After ``max_paths``
-        paths the walk stops and every timing is marked ``truncated``.
-        """
-        if output not in adjacency:
-            return {}
-        gnd = self.netlist.gnd
-        max_paths = self.max_paths
-        best: dict[str, tuple[float, list]] = {}
-        # gate -> number of devices it gates on the current path.
-        on_path: dict[str, int] = {}
-        path: list[tuple[str, str, float, str]] = []
-        visited = {output}
-        groups_used: dict[int, str] = {}
-        found = 0
-        truncated = False
-
-        def dfs(node: str, r_sum: float) -> None:
-            nonlocal found, truncated
-            if found >= max_paths:
-                truncated = True
-                return
-            if node == gnd:
-                found += 1
-                copied = None
-                for gate in on_path:
-                    incumbent = best.get(gate)
-                    if incumbent is None or r_sum > incumbent[0]:
-                        if copied is None:
-                            copied = list(path)
-                        best[gate] = (r_sum, copied)
-                return
-            for (
-                neighbor,
-                r,
-                name,
-                gate,
-                group,
-                _in_ok,
-                _out_ok,
-                neighbor_boundary,
-            ) in adjacency.get(node, ()):
-                if neighbor in visited:
-                    continue
-                if neighbor_boundary and neighbor != gnd:
-                    continue
-                if group is not None:
-                    used = groups_used.get(group)
-                    if used is not None and used != gate:
-                        continue
-                    fresh_group = used is None
-                    if fresh_group:
-                        groups_used[group] = gate
-                else:
-                    fresh_group = False
-                visited.add(neighbor)
-                path.append((node, neighbor, r, name))
-                on_path[gate] = on_path.get(gate, 0) + 1
-                dfs(neighbor, r_sum + r)
-                left = on_path[gate] - 1
-                if left:
-                    on_path[gate] = left
-                else:
-                    del on_path[gate]
-                path.pop()
-                visited.discard(neighbor)
-                if fresh_group:
-                    del groups_used[group]
-
-        dfs(output, 0.0)
-        result: dict[str, ArcTiming] = {}
-        timing_cache: dict[int, ArcTiming] = {}
-        for gate, (_r, path_edges) in best.items():
-            key = id(path_edges)
-            timing = timing_cache.get(key)
-            if timing is None:
-                timing = self._timing_from_spine(
-                    _spine_of(path_edges),
-                    output,
-                    adjacency=adjacency,
-                    transition=FALL,
-                )
-                if truncated:
-                    timing = _mark_truncated(timing)
-                timing_cache[key] = timing
-            result[gate] = timing
-        return result
-
     def _clocked_switch_arcs(self, ctx: StageContext):
         """Clock-gated pass switches: clock rise lets data through.
 
@@ -955,8 +878,11 @@ class StageDelayCalculator:
                 continue
             receiving = dev.other_channel(source_side)
             for output in stage.outputs | ({receiving} & stage.nodes):
+                timings = self._transfer_timings(
+                    ctx, output, {source_side}, _BY_DEVICE, (dev.name,)
+                )
                 arc = self._transfer_arc(
-                    ctx, dev.gate, "gate", output, {source_side}, {dev.name}
+                    ctx, dev.gate, "gate", output, timings, dev.name
                 )
                 if arc is not None:
                     arcs.append(arc)
@@ -1080,8 +1006,11 @@ class StageDelayCalculator:
         stage = ctx.stage
         vdd = self.netlist.vdd
         gnd = self.netlist.gnd
-        pass_devices = [
-            d
+        # Every pass device a trigger gates is in the pass adjacency, and
+        # every device there with that gate is one it gates, so the worst
+        # path through one of them is the search's worst path per gate.
+        triggers = {
+            d.gate: None
             for d in ctx.devices
             if d.kind is DeviceKind.ENH
             and d.source != vdd
@@ -1091,8 +1020,8 @@ class StageDelayCalculator:
             and not self.netlist.is_clock(d.gate)
             and not ctx.clock_open(d)
             and (d.gate not in stage.nodes or d.gate in stage.outputs)
-        ]
-        if not pass_devices:
+        }
+        if not triggers:
             return []
         targets = set(ctx.pulled_up)
         for boundary in stage.boundary:
@@ -1101,16 +1030,19 @@ class StageDelayCalculator:
         if not targets:
             return []
 
+        timings = {
+            output: self._transfer_timings(
+                ctx, output, targets, _BY_GATE, triggers
+            )
+            for output in stage.outputs
+        }
         arcs = []
-        triggers: dict[str, set[str]] = {}
-        for dev in pass_devices:
-            triggers.setdefault(dev.gate, set()).add(dev.name)
-        for trigger, gated in triggers.items():
+        for trigger in triggers:
             for output in stage.outputs:
                 if output == trigger:
                     continue
                 arc = self._transfer_arc(
-                    ctx, trigger, "gate", output, targets, gated
+                    ctx, trigger, "gate", output, timings[output], trigger
                 )
                 if arc is not None:
                     arcs.append(arc)
@@ -1119,6 +1051,7 @@ class StageDelayCalculator:
     def _channel_arcs(self, ctx: StageContext):
         """Signal injected at an externally driven boundary channel node."""
         stage = ctx.stage
+        members = set(stage.device_names)
         arcs = []
         for boundary in stage.boundary:
             if self.netlist.is_rail(boundary):
@@ -1127,17 +1060,35 @@ class StageDelayCalculator:
                 dev.flows_into(dev.other_channel(boundary))
                 or dev.flows_out_of(boundary)
                 for dev in self.netlist.channel_devices(boundary)
-                if dev.name in set(stage.device_names)
+                if dev.name in members
             )
             if not flows_in:
                 continue
             for output in stage.outputs:
+                timings = self._transfer_timings(ctx, output, {boundary})
                 arc = self._transfer_arc(
-                    ctx, boundary, "channel", output, {boundary}, set()
+                    ctx, boundary, "channel", output, timings
                 )
                 if arc is not None:
                     arcs.append(arc)
         return arcs
+
+    def _transfer_timings(
+        self,
+        ctx: StageContext,
+        output: str,
+        targets: set[str],
+        key: int | None = None,
+        wanted=(None,),
+    ) -> tuple[dict, dict]:
+        """Rise and fall :meth:`_worst_timings` of the pass network."""
+        return tuple(
+            self._worst_timings(
+                output, targets, ctx.pass_adjacency(transition), transition,
+                key, wanted,
+            )
+            for transition in (RISE, FALL)
+        )
 
     def _transfer_arc(
         self,
@@ -1145,34 +1096,18 @@ class StageDelayCalculator:
         trigger: str,
         via: str,
         output: str,
-        targets: set[str],
-        must_include: set[str],
+        timings: tuple[dict, dict],
+        key=None,
     ) -> StageArc | None:
         """Non-inverting pass transfer from ``trigger`` into ``output``.
 
-        Each transition times the worst pass path from ``output`` back to
-        one of ``targets`` through a device of ``must_include`` (any
-        device when empty), as an RC tree rooted at the target reached
-        with that path as its spine.  ``None`` when neither transition
-        has such a path.
+        ``timings`` are the :meth:`_transfer_timings` of ``output``; the
+        arc takes each transition's timing kept under ``key``.  ``None``
+        when neither transition has one.
         """
-        timings = {}
-        for transition in (RISE, FALL):
-            adjacency = ctx.pass_adjacency(transition)
-            found = self._worst_path(output, targets, must_include, adjacency)
-            timing = None
-            if found is not None:
-                path_edges, truncated = found
-                timing = self._timing_from_spine(
-                    _spine_of(path_edges),
-                    output,
-                    adjacency=adjacency,
-                    transition=transition,
-                )
-                if truncated:
-                    timing = _mark_truncated(timing)
-            timings[transition] = timing
-        if timings[RISE] is None and timings[FALL] is None:
+        rise = timings[0].get(key)
+        fall = timings[1].get(key)
+        if rise is None and fall is None:
             return None
         return StageArc(
             stage_index=ctx.stage.index,
@@ -1180,8 +1115,8 @@ class StageDelayCalculator:
             via=via,
             output=output,
             inverting=False,
-            rise=timings[RISE],
-            fall=timings[FALL],
+            rise=rise,
+            fall=fall,
         )
 
     # ------------------------------------------------------------------
@@ -1223,7 +1158,6 @@ class StageDelayCalculator:
 
     def _conduction_edges(
         self,
-        stage: Stage,
         devices: list[Transistor],
         transition: str,
         cut: frozenset[str],
@@ -1245,30 +1179,6 @@ class StageDelayCalculator:
                 r = device_resistance(self.tech, dev, "pulldown", transition)
             else:
                 r = device_resistance(self.tech, dev, "pass", transition)
-            edges.append((source, drain, r, dev.name))
-        return edges
-
-    def _pass_edges(
-        self,
-        stage: Stage,
-        devices: list[Transistor],
-        transition: str,
-        cut: frozenset[str],
-    ) -> list[tuple[str, str, float, str]]:
-        """Resistive edges of the pass network only (no rail terminals)."""
-        edges = []
-        vdd = self.netlist.vdd
-        gnd = self.netlist.gnd
-        for dev in devices:
-            if dev.kind is not DeviceKind.ENH:
-                continue
-            source = dev.source
-            drain = dev.drain
-            if source == vdd or source == gnd or drain == vdd or drain == gnd:
-                continue
-            if dev.name in cut:
-                continue
-            r = device_resistance(self.tech, dev, "pass", transition)
             edges.append((source, drain, r, dev.name))
         return edges
 
@@ -1308,14 +1218,18 @@ class StageDelayCalculator:
         return facts
 
     def _build_adjacency(
-        self, edges: list[tuple[str, str, float, str]]
+        self,
+        edges: list[tuple[str, str, float, str]],
+        *,
+        backward_flow: bool = True,
     ) -> dict[str, list[tuple]]:
         """Adjacency map with per-hop device facts pre-resolved.
 
         Each directed hop ``node -> neighbor`` is an 8-tuple
         ``(neighbor, r, name, gate, group, in_ok, out_ok, neighbor_is_boundary)``
-        where ``in_ok`` means the device can carry signal ``neighbor ->
-        node`` (the backward path searches) and ``out_ok`` means it can
+        where ``in_ok`` means the path search (:meth:`_worst_paths`) may
+        take it: the device can carry signal ``neighbor -> node``, or
+        always when ``backward_flow`` is off.  ``out_ok`` means it can
         carry ``node -> neighbor`` (the branch BFS).  Resolving the device,
         its one-hot group, its flow legality, and the boundary test here --
         once per (stage, transition) -- removes four dict/method lookups
@@ -1335,74 +1249,79 @@ class StageDelayCalculator:
             else:
                 out_of_a, out_of_b = out_d, out_s
                 a_boundary, b_boundary = d_bnd, s_bnd
+            in_a = out_of_b or not backward_flow
+            in_b = out_of_a or not backward_flow
             adjacency.setdefault(a, []).append(
-                (b, r, name, gate, group, out_of_b, out_of_a, b_boundary)
+                (b, r, name, gate, group, in_a, out_of_a, b_boundary)
             )
             adjacency.setdefault(b, []).append(
-                (a, r, name, gate, group, out_of_a, out_of_b, a_boundary)
+                (a, r, name, gate, group, in_b, out_of_b, a_boundary)
             )
         return adjacency
 
-    def _worst_path(
+    def _worst_paths(
         self,
         start: str,
         targets: set[str],
-        must_include: set[str],
         adjacency: dict,
-    ) -> tuple[list[tuple[str, str, float, str]], bool] | None:
-        """Maximum-resistance flow-consistent path from ``start`` to a target.
+        key: int | None = None,
+        wanted=(None,),
+    ) -> tuple[dict, bool]:
+        """First maximum-resistance paths from ``start`` to the targets.
 
-        ``adjacency`` is a :meth:`_build_adjacency` map of the usable
-        edges; the path must use at least one device from
-        ``must_include`` (if non-empty).  The search walks
-        *backward* from the measured output toward the driving point, so a
-        hop from ``node`` to ``neighbor`` requires the device to conduct
-        signal ``neighbor -> node``; this is what prevents physically
-        meaningless paths that snake against the inferred signal flow.
-        One-hot assertions (:meth:`Netlist.add_exclusive_group`) prune
-        paths that would need two mutually exclusive switches closed.
+        One depth-first walk, in adjacency order, over the simple paths
+        of ``adjacency`` (a :meth:`_build_adjacency` map).  It walks
+        *backward* from the measured output toward the driving point, so
+        a hop from ``node`` to ``neighbor`` needs ``in_ok``: in the pass
+        network the device conducts signal ``neighbor -> node``, which
+        prevents paths that snake against the inferred signal flow (a
+        discharge may run either way, see
+        :meth:`StageContext.conduction_adjacency`).  It enters no boundary
+        node but a target, and one-hot assertions
+        (:meth:`Netlist.add_exclusive_group`) prune paths that would need
+        two mutually exclusive switches closed.
 
-        Returns the edge list ``(a, b, r, device_name)`` ordered from
-        ``start`` toward the target and a truncation flag, or None if no
-        qualifying path exists.
+        ``key`` picks what is kept: for each ``wanted`` device
+        (:data:`_BY_DEVICE`) or gate (:data:`_BY_GATE`), the worst path
+        through it, or with ``None`` the worst path overall; ties keep the
+        path found first.  After ``max_paths`` paths the walk stops and is
+        ``truncated``.  Returns ``(best, truncated)``, ``best`` mapping each
+        key with a path to ``(resistance, path)``, the path a list of
+        ``(node, hop)`` from ``start`` toward the target.
         """
+        best: dict = {}
         if start not in adjacency:
-            return None
-
-        best: list[tuple[str, str, float, str]] | None = None
-        best_r = -1.0
-        examined = 0
-        truncated = False
-        path: list[tuple[str, str, float, str]] = []
+            return best, False
+        max_paths = self.max_paths
+        path: list[tuple[str, tuple]] = []
         visited = {start}
         groups_used: dict[int, str] = {}
+        # The keys on the current path, in path order; the worst path
+        # overall is kept under None, which is on every path.
+        on_path: dict = {None: None} if key is None else {}
+        found = 0
+        truncated = False
 
-        def dfs(node: str, r_sum: float, included: bool) -> None:
-            nonlocal best, best_r, examined, truncated
-            if examined >= self.max_paths:
+        def dfs(node: str, r_sum: float) -> None:
+            nonlocal found, truncated
+            if found >= max_paths:
                 truncated = True
                 return
             if node in targets:
-                examined += 1
-                if (included or not must_include) and r_sum > best_r:
-                    best_r = r_sum
-                    best = list(path)
+                found += 1
+                copied = None
+                for k in on_path:
+                    incumbent = best.get(k)
+                    if incumbent is None or r_sum > incumbent[0]:
+                        if copied is None:
+                            copied = list(path)
+                        best[k] = (r_sum, copied)
                 return
-            for (
-                neighbor,
-                r,
-                name,
-                gate,
-                group,
-                in_ok,
-                _out_ok,
-                neighbor_boundary,
-            ) in adjacency.get(node, ()):
-                if neighbor in visited:
+            for hop in adjacency.get(node, ()):
+                neighbor, r, _name, gate, group, in_ok, _out_ok, boundary = hop
+                if neighbor in visited or not in_ok:
                     continue
-                if neighbor_boundary and neighbor not in targets:
-                    continue
-                if not in_ok:
+                if boundary and neighbor not in targets:
                     continue
                 if group is not None:
                     used = groups_used.get(group)
@@ -1413,18 +1332,57 @@ class StageDelayCalculator:
                         groups_used[group] = gate
                 else:
                     fresh_group = False
+                k = None if key is None else hop[key]
+                fresh_key = k not in on_path and k in wanted
+                if fresh_key:
+                    on_path[k] = None
                 visited.add(neighbor)
-                path.append((node, neighbor, r, name))
-                dfs(neighbor, r_sum + r, included or name in must_include)
+                path.append((node, hop))
+                dfs(neighbor, r_sum + r)
                 path.pop()
                 visited.discard(neighbor)
                 if fresh_group:
                     del groups_used[group]
+                if fresh_key:
+                    del on_path[k]
 
-        dfs(start, 0.0, False)
-        if best is None:
-            return None
+        dfs(start, 0.0)
         return best, truncated
+
+    def _worst_timings(
+        self,
+        output: str,
+        targets: set[str],
+        adjacency: dict,
+        transition: str,
+        key: int | None = None,
+        wanted=(None,),
+    ) -> dict:
+        """Timing of each ``wanted`` key's :meth:`_worst_paths` path.
+
+        A key without a path is absent.  Each path is timed once, however
+        many keys it is the worst for, as an RC tree rooted at the target
+        it reaches; every timing is marked ``truncated`` if the search was.
+        """
+        best, truncated = self._worst_paths(
+            output, targets, adjacency, key, wanted
+        )
+        timings = {}
+        by_path: dict[int, ArcTiming] = {}
+        for k, (_r, path) in best.items():
+            timing = by_path.get(id(path))
+            if timing is None:
+                timing = self._timing_from_spine(
+                    _spine_of(path),
+                    output,
+                    adjacency=adjacency,
+                    transition=transition,
+                )
+                if truncated:
+                    timing = _mark_truncated(timing)
+                by_path[id(path)] = timing
+            timings[k] = timing
+        return timings
 
     def _spine_groups(
         self, spine: list[tuple[str, str, float, str]]
@@ -1478,35 +1436,33 @@ class StageDelayCalculator:
 
         The spine is the resistive path from the driving point (``root``,
         the first spine node) to ``output``; every other conducting edge
-        of ``adjacency`` hangs a capacitive branch.  Branch traversal
-        follows signal flow outward from the spine, never crosses rails
-        or boundary nodes (incompressible sources), and honours one-hot
-        assertions against the gates used on the spine.
+        of ``adjacency`` hangs a capacitive branch.  One branch walk
+        serves every delay model: it follows signal flow outward from the
+        spine, breadth first, never crosses rails or boundary nodes
+        (incompressible sources), and honours one-hot assertions against
+        the gates used on the spine.
 
-        For the default Elmore model the metric is folded into the tree
-        walk itself (no tree object): every spine node lies on the
+        For the default Elmore model the metric is folded into the walk
+        itself (no tree object): every spine node lies on the
         root-to-``output`` path so it contributes ``r_root * C``, and every
         branch node shares exactly what its attachment point shares.  The
-        accumulation visits nodes in the same order as the explicit
-        :class:`RCTree` path below, so the two produce bit-identical
-        delays.
+        tree models collect the walked edges instead, in visit order, and
+        evaluate the rebuilt :class:`RCTree` with :meth:`_tree_delay`;
+        Elmore's accumulation visits the nodes in that same order, so the
+        two give bit-identical Elmore delays.
 
-        With ``self.parametric`` set, the walk additionally records a
-        replayable term (``transition`` is the transition of the edge
-        set the spine came from): the spine
-        resistances as symbolic atoms (:meth:`_edge_recipe`) and every
-        visited node's prefix index, in visit order, so
-        :mod:`repro.delay.parametric` can re-run the identical
-        arithmetic at any technology point.
+        With ``self.parametric`` set, the timing also carries a replayable
+        term (``transition`` is the transition of the edge set the spine
+        came from), so :mod:`repro.delay.parametric` can re-run the
+        identical arithmetic at any technology point.  Elmore records the
+        spine resistances as symbolic atoms (:meth:`_edge_recipe`) and
+        every visited node's prefix index, in visit order; the tree models
+        record every tree edge in insertion order with its atom.
         """
-        if self.model != "elmore":
-            return self._timing_from_spine_tree(
-                spine, output, adjacency, transition
-            )
-        build_term = self.parametric
+        elmore = self.model == "elmore"
+        build_term = self.parametric and elmore
         root = spine[0][0]
         node_cap = self._node_cap
-        used_devices = []
         r_root = 0.0
         # shared[k] = resistance common to the root->k and root->output
         # paths; doubles as the visited set.
@@ -1518,20 +1474,22 @@ class StageDelayCalculator:
             # idx_of[k]: index into the replayed prefix-resistance list
             # whose entry equals shared[k] (root is prefix 0).
             idx_of = {root: 0}
-        for _parent, child, r, name in spine:
+        used_devices = []
+        for parent, child, r, name in spine:
             r_root += r
             shared[child] = r_root
+            used_devices.append(name)
             if build_term:
                 recipes.append(
-                    self._edge_recipe(_parent, child, name, transition)
+                    self._edge_recipe(parent, child, name, transition)
                 )
                 idx_of[child] = len(recipes)
                 contribs.append((len(recipes), child))
-            cap = node_cap(child)
-            if cap != 0.0:
-                tau += r_root * cap
-            used_devices.append(name)
-        r_output = r_root
+            if elmore:
+                cap = node_cap(child)
+                if cap != 0.0:
+                    tau += r_root * cap
+        tree_edges = None if elmore else list(spine)
 
         spine_groups = self._spine_groups(spine)
         frontier = deque(child for _p, child, _r, _n in spine)
@@ -1540,8 +1498,8 @@ class StageDelayCalculator:
             current_shared = shared[current]
             for (
                 neighbor,
-                _r,
-                _name,
+                r,
+                name,
                 gate,
                 group,
                 _in_ok,
@@ -1555,6 +1513,10 @@ class StageDelayCalculator:
                 if group is not None and spine_groups.get(group, gate) != gate:
                     continue
                 shared[neighbor] = current_shared
+                frontier.append(neighbor)
+                if tree_edges is not None:
+                    tree_edges.append((current, neighbor, r, name))
+                    continue
                 if build_term:
                     idx = idx_of[current]
                     idx_of[neighbor] = idx
@@ -1562,14 +1524,26 @@ class StageDelayCalculator:
                 cap = node_cap(neighbor)
                 if cap != 0.0:
                     tau += current_shared * cap
-                frontier.append(neighbor)
 
-        k = self._k_factor(root)
-        if root == self.netlist.gnd:
-            # Ratioed fight: see _timing_from_spine_tree.
-            k *= self._ratio_derate(output, r_output)
         path = tuple(used_devices)
         term = None
+        if tree_edges is not None:
+            tree = RCTree(root)
+            for parent, child, r, _name in tree_edges:
+                tree.add_child(parent, child, r, node_cap(child))
+            delay, tau = self._tree_delay(tree, output)
+            if self.parametric:
+                recipe = self._edge_recipe
+                atoms = tuple(
+                    (parent, child, recipe(parent, child, name, transition))
+                    for parent, child, _r, name in tree_edges
+                )
+                term = ("tree", atoms, root, output, path, False)
+            return ArcTiming(delay=delay, tau=tau, path=path, term=term)
+        k = self._k_factor(root)
+        if root == self.netlist.gnd:
+            # Ratioed fight: see _tree_delay.
+            k *= self._ratio_derate(output, r_root)
         if build_term:
             term = (
                 "spine",
@@ -1581,62 +1555,6 @@ class StageDelayCalculator:
                 False,
             )
         return ArcTiming(delay=k * tau, tau=tau, path=path, term=term)
-
-    def _timing_from_spine_tree(
-        self,
-        spine: list[tuple[str, str, float, str]],
-        output: str,
-        adjacency: dict,
-        transition: str,
-    ) -> ArcTiming:
-        """General-model path: build the RC tree explicitly, then evaluate.
-
-        With ``self.parametric`` set, the term records every tree edge in
-        insertion order with its resistance atom (:meth:`_edge_recipe`),
-        so :mod:`repro.delay.parametric` rebuilds the identical tree at
-        any technology point and evaluates it with :meth:`_tree_delay`.
-        """
-        root = spine[0][0]
-        tree = RCTree(root)
-        edges = list(spine)
-        for parent, child, r, _name in spine:
-            tree.add_child(parent, child, r, self._node_cap(child))
-
-        spine_groups = self._spine_groups(spine)
-        frontier = deque(child for _p, child, _r, _n in spine)
-        while frontier:
-            current = frontier.popleft()
-            for (
-                neighbor,
-                r,
-                name,
-                gate,
-                group,
-                _in_ok,
-                out_ok,
-                neighbor_boundary,
-            ) in adjacency.get(current, ()):
-                if neighbor in tree or neighbor_boundary:
-                    continue
-                if not out_ok:
-                    continue
-                if group is not None and spine_groups.get(group, gate) != gate:
-                    continue
-                tree.add_child(current, neighbor, r, self._node_cap(neighbor))
-                edges.append((current, neighbor, r, name))
-                frontier.append(neighbor)
-
-        delay, tau = self._tree_delay(tree, output)
-        path = tuple(name for _p, _c, _r, name in spine)
-        term = None
-        if self.parametric:
-            recipe = self._edge_recipe
-            atoms = tuple(
-                (parent, child, recipe(parent, child, name, transition))
-                for parent, child, _r, name in edges
-            )
-            term = ("tree", atoms, root, output, path, False)
-        return ArcTiming(delay=delay, tau=tau, path=path, term=term)
 
     def _tree_delay(self, tree: RCTree, output: str) -> tuple[float, float]:
         """``(delay, tau)`` of ``output`` under a tree model.
@@ -1738,15 +1656,10 @@ class StageDelayCalculator:
         """
         spine = [(self.netlist.vdd, node, r_head, head)]
         if output != node:
-            tail = self._worst_path(
-                start=output,
-                targets={node},
-                must_include=set(),
-                adjacency=adjacency,
-            )
-            if tail is None:
+            best, _truncated = self._worst_paths(output, {node}, adjacency)
+            if None not in best:
                 return None
-            spine.extend(_spine_of(tail[0]))
+            spine.extend(_spine_of(best[None][1]))
         return spine
 
     def _driving_terminal(self, dev: Transistor) -> str | None:
@@ -1766,14 +1679,15 @@ class StageDelayCalculator:
 
 
 def _spine_of(
-    path_edges: list[tuple[str, str, float, str]],
+    path: list[tuple[str, tuple]],
 ) -> list[tuple[str, str, float, str]]:
-    """A path searched from the output, as a spine from its root.
+    """A :meth:`~StageDelayCalculator._worst_paths` path, as a spine.
 
-    The path searches walk back from the measured output to the driving
-    point; a spine runs the other way, so edges and their order flip.
+    The search walks back from the measured output to the driving point;
+    a spine runs the other way, as ``(parent, child, r, device)`` edges
+    from its root.
     """
-    return [(b, a, r, name) for (a, b, r, name) in reversed(path_edges)]
+    return [(hop[0], node, hop[1], hop[2]) for node, hop in reversed(path)]
 
 
 def _merge_arcs(arcs: list[StageArc]) -> list[StageArc]:

@@ -1,5 +1,5 @@
-"""The arc cache is keyed on each stage's cut set, and the discharge walk
-is fused.
+"""The arc cache is keyed on each stage's cut set, and one path search
+serves every trigger.
 
 A sweep (``active_clocks``, ``open_gates``) reaches a stage's arcs only
 through the member devices it cuts, so the calculator caches arcs per
@@ -9,10 +9,10 @@ vs serial) use that key on both sides and cannot see a wrong one; here a
 calculator that served every sweep of a two-phase analysis is checked
 against fresh calculators that each served one sweep.
 
-``_worst_fall_by_gate`` walks the discharge paths once and keeps the
-worst path per gate without materialising every path; it is checked
-against the list-then-scan enumeration it replaced, kept below as the
-reference.
+The path search (``_worst_paths``) walks once from an output and keeps
+the worst path per gate without materialising every path.  Its discharge
+timings and the select arcs built from it are checked against a
+list-then-scan enumeration of every path, kept below as the reference.
 """
 
 import multiprocessing
@@ -24,9 +24,10 @@ from repro.bench.perf import parity_circuits
 from repro.circuits import barrel_shifter, mips_like_datapath, ripple_adder
 from repro.core.constraints import qualified_low_nodes
 from repro.core.mcmm import CORNER_NAMES, corner_scenarios
-from repro.delay import StageContext
-from repro.delay.effective_res import FALL
-from repro.delay.stage_delay import _mark_truncated
+from repro.delay import StageArc, StageContext
+from repro.delay.effective_res import FALL, RISE
+from repro.delay.stage_delay import _BY_GATE, _mark_truncated
+from repro.netlist import DeviceKind, FlowDirection
 from repro.trace import Trace
 
 CLOCKED = [
@@ -169,12 +170,13 @@ class TestCrossSweepParity:
 
 
 # ----------------------------------------------------------------------
-# The discharge enumeration before it was fused: every simple path to gnd
-# materialised, then each path rescanned for its gates.
+# The reference: every simple path to a target materialised, then each
+# path rescanned for its gates.  A discharge may run against the inferred
+# flow; a pass transfer may not.
 # ----------------------------------------------------------------------
 
 
-def _reference_enumerate_paths(calc, start, targets, adjacency):
+def _reference_enumerate_paths(calc, start, targets, adjacency, flow=False):
     if start not in adjacency:
         return None
 
@@ -198,13 +200,15 @@ def _reference_enumerate_paths(calc, start, targets, adjacency):
             name,
             gate,
             group,
-            _in_ok,
+            in_ok,
             _out_ok,
             neighbor_boundary,
         ) in adjacency.get(node, ()):
             if neighbor in visited:
                 continue
             if neighbor_boundary and neighbor not in targets:
+                continue
+            if flow and not in_ok:
                 continue
             if group is not None:
                 used = groups_used.get(group)
@@ -229,6 +233,18 @@ def _reference_enumerate_paths(calc, start, targets, adjacency):
     return paths, truncated
 
 
+def _reference_timing(
+    calc, path_edges, output, adjacency, transition, truncated
+):
+    spine = [(b, a, r, name) for (a, b, r, name) in reversed(path_edges)]
+    timing = calc._timing_from_spine(
+        spine, output, adjacency=adjacency, transition=transition
+    )
+    if truncated and not timing.truncated:
+        timing = _mark_truncated(timing)
+    return timing
+
+
 def _reference_worst_fall_by_gate(calc, ctx, output, adjacency):
     found = _reference_enumerate_paths(
         calc, output, {calc.netlist.gnd}, adjacency
@@ -243,26 +259,77 @@ def _reference_worst_fall_by_gate(calc, ctx, output, adjacency):
         for gate in gates:
             if gate not in best or r_sum > best[gate][0]:
                 best[gate] = (r_sum, path_edges)
-    result = {}
-    timing_cache = {}
-    for gate, (_r, path_edges) in best.items():
-        key = id(path_edges)
-        timing = timing_cache.get(key)
-        if timing is None:
-            spine = [
-                (b, a, r, name) for (a, b, r, name) in reversed(path_edges)
-            ]
-            timing = calc._timing_from_spine(
-                spine,
-                output,
-                adjacency=adjacency,
-                transition=FALL,
+    return {
+        gate: _reference_timing(
+            calc, path_edges, output, adjacency, FALL, truncated
+        )
+        for gate, (_r, path_edges) in best.items()
+    }
+
+
+def _select_triggers(calc, ctx):
+    """Each select trigger with the pass devices it gates, and the
+    driving points a select path may end at."""
+    net = calc.netlist
+    stage = ctx.stage
+    gated = {}
+    for dev in ctx.devices:
+        if (
+            dev.kind is DeviceKind.ENH
+            and not {dev.source, dev.drain} & {net.vdd, net.gnd}
+            and not net.is_clock(dev.gate)
+            and dev.name not in ctx.cut
+            and (dev.gate not in stage.nodes or dev.gate in stage.outputs)
+        ):
+            gated.setdefault(dev.gate, set()).add(dev.name)
+    targets = set(ctx.pulled_up) | {
+        node for node in stage.boundary if not net.is_rail(node)
+    }
+    return gated, targets
+
+
+def _reference_select_arcs(calc, ctx):
+    """Select arcs from every flow-consistent path of each output and
+    transition: per trigger, the first maximum path through a device it
+    gates."""
+    stage = ctx.stage
+    gated, targets = _select_triggers(calc, ctx)
+    if not gated or not targets:
+        return []
+    timings = {}
+    for output in stage.outputs:
+        for transition in (RISE, FALL):
+            adjacency = ctx.pass_adjacency(transition)
+            found = _reference_enumerate_paths(
+                calc, output, targets, adjacency, flow=True
             )
-            if truncated and not timing.truncated:
-                timing = _mark_truncated(timing)
-            timing_cache[key] = timing
-        result[gate] = timing
-    return result
+            paths, truncated = found or ([], False)
+            for trigger, names in gated.items():
+                through = [
+                    (r_sum, edges)
+                    for edges, r_sum in paths
+                    if any(edge[3] in names for edge in edges)
+                ]
+                if not through:
+                    continue
+                r_max = max(r_sum for r_sum, _edges in through)
+                edges = next(e for r_sum, e in through if r_sum == r_max)
+                timings[trigger, output, transition] = _reference_timing(
+                    calc, edges, output, adjacency, transition, truncated
+                )
+    arcs = []
+    for trigger in gated:
+        for output in stage.outputs:
+            rise = timings.get((trigger, output, RISE))
+            fall = timings.get((trigger, output, FALL))
+            if output == trigger or (rise is None and fall is None):
+                continue
+            arcs.append(
+                StageArc(
+                    stage.index, trigger, "gate", output, False, rise, fall
+                )
+            )
+    return arcs
 
 
 def _mesh() -> Netlist:
@@ -307,6 +374,54 @@ FUSED_CIRCUITS = [
 ]
 
 
+def _select_ties() -> Netlist:
+    """Two equal select paths from ``a`` to ``out``, and a long switch
+    into a pulled-up node that flow forbids walking backward.
+
+    ``s`` and ``t`` each gate a device on both equal paths, so the path
+    found first must win the tie.  The long ``trap`` switch, also gated
+    by ``s``, is pinned to carry signal out of ``out``; a search that
+    walked it backward would give ``s`` a worse path than either.
+    """
+    net = Netlist("select_ties")
+    net.set_input("a", "s", "t")
+    net.add_enh("s", "a", "x", name="p1")
+    net.add_enh("t", "x", "out", name="p2")
+    net.add_enh("s", "a", "y", name="p3")
+    net.add_enh("t", "y", "out", name="p4")
+    net.add_enh("s", "out", "z", l=8.0, name="trap", flow=FlowDirection.S_TO_D)
+    net.add_pullup("z")
+    net.set_output("out")
+    return net
+
+
+#: (name, factory, has select arcs): the discharge-walk circuits plus one
+#: with tied and flow-forbidden select paths.
+SELECT_CIRCUITS = [
+    ("barrel_shifter", barrel_shifter, True),
+    ("mips_like_datapath", lambda: mips_like_datapath(4, 2)[0], True),
+    ("mesh", _mesh, False),
+    ("dead_end", _dead_end, False),
+    ("select_ties", _select_ties, True),
+]
+
+
+def _contexts(tv) -> list[StageContext]:
+    """A context for every (stage, cut set) the analysis's sweeps give."""
+    calc = tv.calculator
+    sweeps = _sweeps(tv) if tv.clock is not None else [(None, frozenset())]
+    contexts = {
+        (stage.index, cut)
+        for sweep in sweeps
+        for stage in calc.graph
+        for cut in [_cut_sets(calc, *sweep)[stage.index]]
+    }
+    return [
+        StageContext(calc, calc.graph[index], cut)
+        for index, cut in sorted(contexts, key=lambda c: (c[0], sorted(c[1])))
+    ]
+
+
 class TestFusedDischargeWalk:
     @pytest.mark.parametrize(
         "parametric", [False, True], ids=["concrete", "terms"]
@@ -322,17 +437,12 @@ class TestFusedDischargeWalk:
         tv = TimingAnalyzer(make(), run_erc=False)
         calc = tv.calculator
         calc.parametric = parametric
-        sweeps = _sweeps(tv) if tv.clock is not None else [(None, frozenset())]
-        contexts = {
-            (stage.index, cut)
-            for sweep in sweeps
-            for stage in calc.graph
-            for cut in [_cut_sets(calc, *sweep)[stage.index]]
-        }
         compared = truncated = 0
-        for index, cut in sorted(contexts, key=lambda c: (c[0], sorted(c[1]))):
-            ctx = StageContext(calc, calc.graph[index], cut)
+        for ctx in _contexts(tv):
+            index = ctx.stage.index
             adjacency = ctx.conduction_adjacency(FALL)
+            gnd = {calc.netlist.gnd}
+            gates = {dev.gate: None for dev in ctx.devices}
             for output in sorted(ctx.stage.outputs):
                 # Also a cap of exactly the path count and one below it,
                 # where the stop point alone decides ``truncated``.
@@ -345,7 +455,9 @@ class TestFusedDischargeWalk:
                 )
                 for max_paths in {1, 3, 64, 4096, *exact} - {0}:
                     calc.max_paths = max_paths
-                    ours = calc._worst_fall_by_gate(output, adjacency)
+                    ours = calc._worst_timings(
+                        output, gnd, adjacency, FALL, _BY_GATE, gates
+                    )
                     reference = _reference_worst_fall_by_gate(
                         calc, ctx, output, adjacency
                     )
@@ -357,3 +469,62 @@ class TestFusedDischargeWalk:
                     truncated += sum(t.truncated for t in ours.values())
         assert compared
         assert bool(truncated) == caps
+
+
+class TestSelectArcSearch:
+    @pytest.mark.parametrize(
+        "parametric", [False, True], ids=["concrete", "terms"]
+    )
+    @pytest.mark.parametrize(
+        "name,make,has_selects",
+        SELECT_CIRCUITS,
+        ids=[name for name, _, _ in SELECT_CIRCUITS],
+    )
+    def test_matches_list_then_scan_reference(
+        self, name, make, has_selects, parametric
+    ):
+        tv = TimingAnalyzer(make(), run_erc=False)
+        calc = tv.calculator
+        calc.parametric = parametric
+        searched = []
+        search = calc._worst_paths
+
+        def counting(start, *args):
+            searched.append(start)
+            return search(start, *args)
+
+        calc._worst_paths = counting
+        compared = truncated = 0
+        for ctx in _contexts(tv):
+            outputs = ctx.stage.outputs
+            gated, targets = _select_triggers(calc, ctx)
+            # One search per output and transition serves every trigger.
+            searches = sorted([*outputs] * 2) if gated and targets else []
+            # Also a cap of exactly each search's path count and one
+            # below it, where the stop point alone decides ``truncated``.
+            calc.max_paths = 4096
+            exact = set()
+            for output in outputs:
+                for transition in (RISE, FALL):
+                    found = _reference_enumerate_paths(
+                        calc, output, targets, ctx.pass_adjacency(transition),
+                        flow=True,
+                    )
+                    if found is not None and not found[1]:
+                        exact |= {len(found[0]), len(found[0]) - 1}
+            for max_paths in sorted({1, 3, 64, 4096, *exact} - {0}):
+                calc.max_paths = max_paths
+                searched.clear()
+                ours = calc._select_arcs(ctx)
+                assert ours == _reference_select_arcs(calc, ctx), (
+                    f"{name}: stage {ctx.stage.index} max_paths={max_paths}"
+                )
+                assert sorted(searched) == searches
+                compared += len(ours)
+                truncated += sum(
+                    timing.truncated
+                    for arc in ours
+                    for timing in (arc.rise, arc.fall)
+                    if timing is not None
+                )
+        assert bool(compared) == bool(truncated) == has_selects

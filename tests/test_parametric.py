@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro import TimingAnalyzer
 from repro.bench.perf import parity_circuits
-from repro.circuits import inverter_chain, ripple_adder
+from repro.circuits import inverter_chain, mips_like_datapath, ripple_adder
 from repro.core.mcmm import Scenario, corner_scenarios
 from repro.delay import DELAY_MODELS, StageDelayCalculator
 from repro.delay.parametric import (
@@ -364,3 +364,47 @@ class TestSensitivities:
         explanation = mcmm.explain(node, sensitivity=True)
         assert explanation.sensitivities
         assert explanation.scenario == mcmm.dominant_corner(node)
+
+    def test_mcmm_explain_sensitivity_evaluates_host_terms(self, monkeypatch):
+        # The dominant corner's sensitivity sweep runs on siblings of a
+        # sibling; they evaluate the host's terms and extract no stage.
+        def make():
+            return mips_like_datapath(4, 2, n_shifts=2)[0]
+
+        tv = TimingAnalyzer(make())
+        mcmm = tv.analyze_mcmm(corner_scenarios(tv.tech))
+        node = mcmm.result("slow").paths[0].endpoint
+        extracted = []
+        gate_arcs = StageDelayCalculator._gate_arcs
+
+        def recording(calc, ctx):
+            extracted.append(ctx.stage.index)
+            return gate_arcs(calc, ctx)
+
+        monkeypatch.setattr(StageDelayCalculator, "_gate_arcs", recording)
+        explanation = mcmm.explain(node, sensitivity=True)
+        assert extracted == []
+        monkeypatch.undo()
+
+        corner = next(
+            scen.tech
+            for scen in mcmm.scenarios
+            if scen.name == explanation.scenario
+        )
+        assert explanation.sensitivities
+        for record in explanation.sensitivities:
+            arrivals = {}
+            for sign in (-1.0, 1.0):
+                tech = perturbed(
+                    corner, record.parameter, sign * SENSITIVITY_REL_STEP
+                )
+                side = TimingAnalyzer(make(), tech=tech).analyze()
+                arrivals[sign] = TimingAnalyzer._arrival_for(
+                    side, node, explanation.transition
+                )
+            expected = (arrivals[1.0] - arrivals[-1.0]) / (
+                2.0 * SENSITIVITY_REL_STEP
+            )
+            assert record.sensitivity == pytest.approx(
+                expected, rel=1e-12
+            ), record.parameter
