@@ -23,6 +23,11 @@ What is measured and gated (written to ``BENCH_mcmm.json``):
   nonzero: the sweep extracts terms once and evaluates them per corner
   (:mod:`repro.delay.parametric`), and the ticks prove term evaluation
   actually served the arcs.
+* **work per sweep** -- exact gate on counts host noise cannot move:
+  whatever the corner count, the two-phase datapath gets one term
+  evaluation pass (``term_eval_passes``) and one ``TimingGraph.build``
+  (``graph_builds``) per sweep -- phi1, phi2, and the all-transparent
+  sweep of the overlap check.
 * **parity** -- every scenario's ``to_json`` must be byte-identical to a
   standalone single-corner analysis (the MCMM correctness anchor).
 * **R-X3 signoff shape** -- the assertions ported from
@@ -61,6 +66,10 @@ OUTPUT_PATH = REPO_ROOT / "BENCH_mcmm.json"
 #: (registers, shifts) of the benchmarked datapath.
 FULL_SHAPE = (8, 4)
 SMOKE_SHAPE = (4, 2)
+
+#: Sweeps of a two-phase analysis: one per phase, plus the
+#: all-transparent sweep of the overlap check.
+TWO_PHASE_SWEEPS = 3
 
 
 def _fresh_net(shape: tuple[int, int]):
@@ -167,7 +176,18 @@ def run(*, smoke: bool = False, repeat: int = 3, workers: int | str = 1):
         "independent_structural_runs": independent_trace.counters.get(
             "structural_runs", 0
         ),
+        "mcmm_term_eval_passes": mcmm_trace.counters.get(
+            "term_eval_passes", 0
+        ),
+        "mcmm_graph_builds": mcmm_trace.counters.get("graph_builds", 0),
     }
+    for counter in ("mcmm_term_eval_passes", "mcmm_graph_builds"):
+        if structural[counter] != TWO_PHASE_SWEEPS:
+            failures.append(
+                f"{counter} is {structural[counter]}; a two-phase sweep "
+                f"set needs exactly one per sweep ({TWO_PHASE_SWEEPS}), "
+                "whatever the corner count"
+            )
     if structural["mcmm_parametric_stage_evals"] == 0:
         failures.append(
             "the default MCMM sweep served no stage from parametric term "

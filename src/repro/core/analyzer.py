@@ -841,6 +841,7 @@ class TimingAnalyzer:
                 changed = last.graph.update(arcs)
             if changed is None:
                 graph, previous = TimingGraph.build(arcs), None
+                self.trace.incr("graph_builds")
             else:
                 graph, previous = last.graph, last.arrivals
         with self.trace.timer("propagate"):

@@ -31,7 +31,7 @@ from ..errors import ClockingError
 from ..netlist import DeviceKind, Netlist, Transistor
 from ..stages import StageGraph
 from .arrival import ArrivalMap, propagate
-from .graph import TimingGraph
+from .graph import TimingGraph, sweep_graph
 from .paths import PathMemo, TimingPath, critical_paths
 
 __all__ = [
@@ -245,7 +245,7 @@ def verify_two_phase(
             )
             calculator._qualified_low[phase] = open_gates
         arcs = calculator.all_arcs(active_clocks=active, open_gates=open_gates)
-        graph = TimingGraph.build(arcs)
+        graph = sweep_graph(calculator, (active, open_gates), arcs)
 
         sources: dict[tuple[str, str], float] = {}
         for clk in active:

@@ -32,7 +32,7 @@ from operator import is_not
 from ..delay import StageArc
 from ..errors import TimingError
 
-__all__ = ["TimingGraph"]
+__all__ = ["TimingGraph", "sweep_graph"]
 
 
 @dataclass
@@ -193,6 +193,30 @@ class TimingGraph:
     def arc_count(self) -> int:
         """Number of arcs surviving in the DAG (cut arcs excluded)."""
         return sum(len(v) for v in self.arcs_from.values())
+
+
+def sweep_graph(calculator, sweep: tuple, arcs: list[StageArc]) -> TimingGraph:
+    """The timing graph of one sweep's arcs, built once per MCMM run.
+
+    ``sweep`` is ``(active_clocks, open_gates)``.  Outside a run
+    (``calculator.batch`` is None) this is :meth:`TimingGraph.build`.
+    Within one, the graph a corner built for the sweep is kept in the
+    run's batch, and a later corner whose arcs have its structure swaps
+    them into its slots (:meth:`TimingGraph.update`); any structural
+    difference, such as a deadline skip or a quarantine, builds afresh.
+    Reusing a graph in place is safe only because no result keeps one:
+    arrivals and paths hold arcs, never the graph.  The trace counts
+    builds as ``graph_builds``.
+    """
+    batch = calculator.batch
+    graph = None if batch is None else batch.graphs.get(sweep)
+    if graph is not None and graph.update(arcs) is not None:
+        return graph
+    graph = TimingGraph.build(arcs)
+    calculator.trace.incr("graph_builds")
+    if batch is not None:
+        batch.graphs[sweep] = graph
+    return graph
 
 
 def _signature(arc: StageArc) -> tuple:

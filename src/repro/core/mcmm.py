@@ -47,6 +47,7 @@ import time as _time
 from dataclasses import dataclass, field, replace
 
 from ..clocks import TwoPhaseClock
+from ..delay.parametric import CornerBatch
 from ..errors import TimingError
 from ..tech import Technology
 from .provenance import Explanation
@@ -357,14 +358,21 @@ def analyze_mcmm(
     The hosting analyzer's symbolic calculator extracts each arc once
     as an analytic term over the technology parameter vector, and every
     scenario *evaluates* the terms at its corner instead of re-walking
-    the stage trees -- N corners cost one structural extraction plus N
-    evaluation passes.
+    the stage trees.  All scenario siblings are created first and share
+    one :class:`~repro.delay.parametric.CornerBatch` for the run: the
+    first scenario's walk of each sweep evaluates that sweep's terms in
+    one compiled pass for every scenario still to run, and builds the
+    sweep's timing graph, which later scenarios reuse by swapping their
+    arcs into it (:func:`~repro.core.graph.sweep_graph`).  N corners
+    cost one structural extraction plus one evaluation pass and one
+    graph build per sweep.
 
     Trace counters: ``mcmm_scenarios`` counts evaluated scenarios while
     ``structural_runs`` stays at the hosting analyzer's single
     construction -- the observable proof that the structural phases ran
     once for the whole sweep; ``parametric_stage_evals`` counts stages
-    served by term evaluation.
+    served by term evaluation, ``term_eval_passes`` the evaluation
+    passes and ``graph_builds`` the timing graphs built.
     """
     from .arrival import DEFAULT_INPUT_SLEW
 
@@ -380,12 +388,20 @@ def analyze_mcmm(
     mcmm = McmmResult(
         netlist_name=analyzer.netlist.name, scenarios=coerced
     )
-    for scen in coerced:
-        sibling = analyzer._scenario_analyzer(scen)
-        analyzer.trace.incr("mcmm_scenarios")
-        mcmm.results[scen.name] = sibling.analyze(
-            input_arrivals, top_k=top_k, input_slew=input_slew
-        )
-        mcmm._analyzers[scen.name] = sibling
+    siblings = [analyzer._scenario_analyzer(scen) for scen in coerced]
+    batch = CornerBatch([sibling.calculator for sibling in siblings])
+    for sibling in siblings:
+        sibling.calculator.batch = batch
+    try:
+        for scen, sibling in zip(coerced, siblings):
+            analyzer.trace.incr("mcmm_scenarios")
+            mcmm.results[scen.name] = sibling.analyze(
+                input_arrivals, top_k=top_k, input_slew=input_slew
+            )
+            batch.finish(sibling.calculator)
+            mcmm._analyzers[scen.name] = sibling
+    finally:
+        for sibling in siblings:
+            sibling.calculator.batch = None
     mcmm.analysis_seconds = _time.perf_counter() - started
     return mcmm

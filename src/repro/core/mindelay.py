@@ -26,7 +26,7 @@ from ..delay import FALL, RISE, StageDelayCalculator
 from ..netlist import Netlist
 from .arrival import Arrival, ArrivalMap
 from .constraints import latch_devices, storage_nodes_of_phase
-from .graph import TimingGraph
+from .graph import TimingGraph, sweep_graph
 
 __all__ = ["propagate_min", "OverlapMargin", "cross_phase_margins"]
 
@@ -122,7 +122,7 @@ def cross_phase_margins(
     exactly the hazard scenario.
     """
     arcs = calculator.all_arcs(active_clocks=None)
-    graph = TimingGraph.build(arcs)
+    graph = sweep_graph(calculator, (None, frozenset()), arcs)
     margins: list[OverlapMargin] = []
     for phase in clock.phases:
         other = clock.other(phase)

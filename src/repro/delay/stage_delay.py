@@ -115,7 +115,7 @@ _BY_GATE = 3
 _CALC_TOKENS = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArcTiming:
     """Timing of one output transition of an arc.
 
@@ -139,7 +139,7 @@ class ArcTiming:
     term: tuple | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageArc:
     """One timing arc through a stage.
 
@@ -383,6 +383,10 @@ class StageDelayCalculator:
         #: tech instead of extracting, and :meth:`all_arcs` pre-fills
         #: the source's cache on the pool.
         self._term_source: "StageDelayCalculator | None" = None
+        #: The run's :class:`~repro.delay.parametric.CornerBatch` while an
+        #: MCMM run analyzes this corner: :meth:`all_arcs` evaluates terms
+        #: for every waiting member at once.  None: a batch of one.
+        self.batch = None
 
     # ------------------------------------------------------------------
     # Public API.
@@ -429,6 +433,7 @@ class StageDelayCalculator:
             merged = evaluate_arcs(
                 self, stage, source.arcs(stage, active_clocks, open_gates)
             )
+            self.trace.incr("term_eval_passes")
             self.trace.incr("parametric_stage_evals")
         else:
             ctx = StageContext(self, stage, cut)
@@ -623,11 +628,17 @@ class StageDelayCalculator:
         serial one.
 
         The pool only *pre-fills* the arc cache of the calculator that
-        extracts -- the term source of a corner sibling, which evaluates
-        the terms in its walk, or this calculator itself -- and stops at
-        this calculator's deadline.  The serial walk is authoritative,
-        so quarantine decisions are made here (never in a worker) and
-        the result is deterministic regardless of pool failures.  A
+        extracts -- the term source of a corner sibling, or this
+        calculator itself -- and stops at this calculator's deadline.  A
+        corner sibling's walk collects the source's arcs of the stages
+        its cache cannot serve and, once over, evaluates them in one pass
+        (``term_eval_passes``) for itself and every waiting member of its
+        :attr:`batch`; a member's walk takes what a peer evaluated for it
+        where it would have evaluated.  The deadline is checked per stage
+        as the walk goes; the evaluation pass after it runs whole.  The
+        serial walk is authoritative, so quarantine decisions are made
+        here (never in a worker) and the result is deterministic
+        regardless of pool failures.  A
         stage whose extraction raises is re-raised as a typed
         :class:`~repro.errors.ReproError` under the ``strict`` policy and
         quarantined (with a diagnostic) under ``quarantine``/
@@ -670,7 +681,11 @@ class StageDelayCalculator:
                 extractor._arc_cache[
                     (index, cut_map.get(index, _NO_CUTS))
                 ] = arcs
-        result: list[StageArc] = []
+        source = self._term_source
+        parts: list[list[StageArc]] = []
+        # (index into parts, cache key, stage, source arcs) of each stage
+        # whose terms this walk evaluates once it is over.
+        todo: list[tuple] = []
         expired = False
         skipped = 0
         for stage in self.graph:
@@ -679,13 +694,12 @@ class StageDelayCalculator:
                 or stage.index in self.deadline_skipped
             ):
                 continue
-            cached = self._arc_cache.get(
-                (stage.index, cut_map.get(stage.index, _NO_CUTS))
-            )
+            key = (stage.index, cut_map.get(stage.index, _NO_CUTS))
+            cached = self._arc_cache.get(key)
             if cached is not None:
                 # A cache hit costs nothing; serve it even past the
                 # deadline so a warm design degrades as little as possible.
-                result.extend(cached)
+                parts.append(cached)
                 continue
             if not expired and self._deadline_expired():
                 expired = True
@@ -700,23 +714,24 @@ class StageDelayCalculator:
                 continue
             try:
                 robust.fault_point("stage-arcs", stage.index)
-                stage_arcs = self.arcs(stage, active_clocks, open_gates)
+                if source is None:
+                    stage_arcs = self.arcs(stage, active_clocks, open_gates)
+                else:
+                    stage_arcs = self._take_evaluated(key)
+                    if stage_arcs is None:
+                        todo.append((
+                            len(parts),
+                            key,
+                            stage,
+                            source.arcs(stage, active_clocks, open_gates),
+                        ))
+                        stage_arcs = []
             except Exception as exc:
-                if self.on_error == robust.STRICT:
-                    if isinstance(exc, ReproError):
-                        raise
-                    raise StageError(
-                        f"arc extraction failed for stage {stage.index}: "
-                        f"{type(exc).__name__}: {exc}"
-                    ) from exc
-                self.quarantine_stage(
-                    stage.index,
-                    message=(
-                        f"arc extraction failed: {type(exc).__name__}: {exc}"
-                    ),
-                )
+                self._stage_failed(stage, exc)
                 continue
-            result.extend(stage_arcs)
+            parts.append(stage_arcs)
+        if todo:
+            self._evaluate_walked(todo, parts, active_clocks, open_gates)
         if skipped:
             self.trace.incr("extract_deadline_skips", skipped)
             self.deadline_diagnostics.append(
@@ -732,7 +747,73 @@ class StageDelayCalculator:
                     ),
                 )
             )
-        return result
+        return list(itertools.chain.from_iterable(parts))
+
+    def _stage_failed(self, stage: Stage, exc: Exception) -> None:
+        """Raise a typed error (``strict``) or quarantine ``stage``."""
+        if self.on_error == robust.STRICT:
+            if isinstance(exc, ReproError):
+                raise exc
+            raise StageError(
+                f"arc extraction failed for stage {stage.index}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+        self.quarantine_stage(
+            stage.index,
+            message=f"arc extraction failed: {type(exc).__name__}: {exc}",
+        )
+
+    def _take_evaluated(self, key: tuple) -> list[StageArc] | None:
+        """The arcs of ``key`` a batch peer evaluated for us, now cached."""
+        batch = self.batch
+        arcs = None if batch is None else batch.take(self, key)
+        if arcs is not None:
+            self._arc_cache[key] = arcs
+            self.trace.incr("parametric_stage_evals")
+        return arcs
+
+    def _evaluate_walked(
+        self,
+        todo: list[tuple],
+        parts: list,
+        active_clocks: frozenset[str] | None,
+        open_gates: frozenset[str],
+    ) -> None:
+        """Evaluate the terms an :meth:`all_arcs` walk collected, in one
+        pass for this calculator and every waiting batch peer.
+
+        Our lists fill the walk's ``parts`` and our arc cache; each
+        peer's wait in the batch for the peer's own walk.  Should the
+        pass raise, each stage goes through :meth:`arcs` alone, so the
+        failure is laid on its stage as in a per-stage walk.
+        """
+        from .parametric import evaluate_arcs
+
+        peers = [] if self.batch is None else self.batch.peers(self)
+        self.trace.incr("term_eval_passes")
+        try:
+            lists = evaluate_arcs(
+                self,
+                None,
+                [arc for *_rest, arcs in todo for arc in arcs],
+                peers=peers,
+            )
+        except Exception:
+            for where, _key, stage, _arcs in todo:
+                try:
+                    parts[where] = self.arcs(stage, active_clocks, open_gates)
+                except Exception as exc:
+                    self._stage_failed(stage, exc)
+            return
+        for calc, evaluated in zip((self, *peers), lists):
+            end = 0
+            for where, key, _stage, arcs in todo:
+                start, end = end, end + len(arcs)
+                if calc is self:
+                    parts[where] = self._arc_cache[key] = evaluated[start:end]
+                else:
+                    self.batch.give(calc, key, evaluated[start:end])
+        self.trace.incr("parametric_stage_evals", len(todo))
 
     def _uncached(
         self, active_clocks: frozenset[str] | None, open_gates: frozenset[str]
@@ -860,10 +941,14 @@ class StageDelayCalculator:
         """Clock-gated pass switches: clock rise lets data through.
 
         The arc trigger is the clock; the output follows the data side, so
-        both transitions exist and the arc is non-inverting.
+        both transitions exist and the arc is non-inverting.  One
+        device-keyed search per (output, driving side) serves every
+        switch driving from that side: what the walk finds does not
+        depend on which devices it keeps a path for.
         """
         stage = ctx.stage
-        arcs = []
+        switches = []
+        wanted: dict[tuple[str, str], set[str]] = {}
         for dev in ctx.devices:
             if dev.kind is not DeviceKind.ENH:
                 continue
@@ -877,12 +962,22 @@ class StageDelayCalculator:
             if source_side is None:
                 continue
             receiving = dev.other_channel(source_side)
-            for output in stage.outputs | ({receiving} & stage.nodes):
-                timings = self._transfer_timings(
-                    ctx, output, {source_side}, _BY_DEVICE, (dev.name,)
-                )
+            outputs = list(stage.outputs | ({receiving} & stage.nodes))
+            switches.append((dev, source_side, outputs))
+            for output in outputs:
+                wanted.setdefault((output, source_side), set()).add(dev.name)
+        timings = {
+            (output, side): self._transfer_timings(
+                ctx, output, {side}, _BY_DEVICE, names
+            )
+            for (output, side), names in wanted.items()
+        }
+        arcs = []
+        for dev, source_side, outputs in switches:
+            for output in outputs:
                 arc = self._transfer_arc(
-                    ctx, dev.gate, "gate", output, timings, dev.name
+                    ctx, dev.gate, "gate", output,
+                    timings[(output, source_side)], dev.name,
                 )
                 if arc is not None:
                     arcs.append(arc)
@@ -1587,6 +1682,10 @@ class StageDelayCalculator:
 
     def _ratio_derate(self, output: str, r_down: float) -> float:
         """Fall-delay stretch from the pull-up fighting the discharge."""
+        return _derate(self._pullup_resistance(output), r_down)
+
+    def _pullup_resistance(self, output: str) -> float | None:
+        """Parallel resistance of ``output``'s depletion pull-ups, or None."""
         r_up = None
         for dev in self.netlist.channel_devices(output):
             if dev.kind is not DeviceKind.DEP:
@@ -1595,9 +1694,7 @@ class StageDelayCalculator:
                 continue
             r = device_resistance(self.tech, dev, "pullup", RISE)
             r_up = r if r_up is None else 1.0 / (1.0 / r_up + 1.0 / r)
-        if r_up is None or r_up <= r_down:
-            return 1.5 if r_up is not None else 1.0
-        return min(1.5, r_up / (r_up - r_down))
+        return r_up
 
     def _k_factor(self, root: str) -> float:
         """Calibration factor: rising transitions (from vdd) are slower."""
@@ -1688,6 +1785,14 @@ def _spine_of(
     from its root.
     """
     return [(hop[0], node, hop[1], hop[2]) for node, hop in reversed(path)]
+
+
+def _derate(r_up: float | None, r_down: float) -> float:
+    """:meth:`StageDelayCalculator._ratio_derate` from the pull-up
+    resistance: first-order ``R_up / (R_up - R_down)``, clamped to 1.5."""
+    if r_up is None or r_up <= r_down:
+        return 1.5 if r_up is not None else 1.0
+    return min(1.5, r_up / (r_up - r_down))
 
 
 def _merge_arcs(arcs: list[StageArc]) -> list[StageArc]:

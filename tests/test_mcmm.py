@@ -355,3 +355,194 @@ class TestModeScenarios:
         assert slowed.min_cycle == pytest.approx(typ.min_cycle + extra)
         assert slowed.clock_verification.clock == wide_gap
         assert mcmm.dominant_scenario() == "typ-widegap"
+
+
+def _zoo(name):
+    return dict(parity_circuits())[name]
+
+
+def _json(result) -> str:
+    return json.dumps(result.to_json(), sort_keys=True)
+
+
+class TestCornerBatch:
+    """One MCMM run evaluates each sweep's terms for every corner in one
+    pass and builds each two-phase sweep's graph once; every scenario
+    still equals a standalone analysis."""
+
+    @pytest.mark.parametrize("walking", [0, 1, 2])
+    def test_stage_crash_quarantines_only_the_walking_scenario(
+        self, walking
+    ):
+        from repro import robust
+        from repro.testing.faults import FaultPlan
+
+        make = _zoo("shift_register")
+        # A corner's walks reach the fault site once per stage they
+        # cannot serve from cache; a standalone analysis reaches it the
+        # same number of times, in the same order.
+        counting = FaultPlan().delay("stage-arcs", 0.0, times=None)
+        with counting.installed():
+            TimingAnalyzer(make()).analyze()
+        per_corner = len(counting.fired)
+        hit = 3
+        assert per_corner > hit
+
+        net = make()
+        scenarios = corner_scenarios(net.tech)
+        plan = FaultPlan().crash(
+            "stage-arcs", times=1, skip=walking * per_corner + hit
+        )
+        with plan.installed():
+            mcmm = TimingAnalyzer(
+                net, on_error=robust.QUARANTINE
+            ).analyze_mcmm(scenarios)
+        assert plan.fired == [("stage-arcs", "crash")]
+
+        for index, scen in enumerate(scenarios):
+            standalone = TimingAnalyzer(
+                make(), tech=scen.tech, on_error=robust.QUARANTINE
+            )
+            if index == walking:
+                with FaultPlan().crash(
+                    "stage-arcs", times=1, skip=hit
+                ).installed():
+                    expected = standalone.analyze()
+                assert not expected.coverage.complete
+            else:
+                expected = standalone.analyze()
+            assert _json(mcmm.result(scen.name)) == _json(expected), (
+                scen.name
+            )
+
+    @pytest.mark.parametrize("model", DELAY_MODELS)
+    @pytest.mark.parametrize(
+        "name", ["shift_register", "manchester_adder", "barrel_shifter"]
+    )
+    def test_five_scenarios_match_standalone(self, name, model):
+        from repro.clocks import TwoPhaseClock
+        from repro.delay.parametric import perturbed
+
+        make = _zoo(name)
+        net = make()
+        tech = net.tech
+        scenarios = [
+            Scenario(name="slow", tech=tech.corner("slow")),
+            Scenario(name="fast", tech=tech.corner("fast")),
+            Scenario(
+                name="pass+", tech=perturbed(tech, "r_sq_enh_pass", 0.05)
+            ),
+            Scenario(
+                name="gate-", tech=perturbed(tech, "c_gate_area", -0.05)
+            ),
+            Scenario(name="wide-gap", clock=TwoPhaseClock(nonoverlap=10e-9)),
+        ]
+        mcmm = TimingAnalyzer(net, model=model).analyze_mcmm(scenarios)
+        for scen in scenarios:
+            standalone = TimingAnalyzer(
+                make(), model=model, tech=scen.tech, clock=scen.clock
+            ).analyze()
+            assert _json(mcmm.result(scen.name)) == _json(standalone), (
+                scen.name
+            )
+
+    @pytest.mark.parametrize("corners", [1, 3, 5])
+    def test_one_pass_and_one_build_per_sweep(self, corners):
+        net = _zoo("mips_like_datapath")()
+        scenarios = [
+            Scenario(name=f"c{i}", tech=net.tech.corner(CORNER_NAMES[i % 3]))
+            for i in range(corners)
+        ]
+        trace = Trace()
+        TimingAnalyzer(net, trace=trace).analyze_mcmm(scenarios)
+        # phi1, phi2 and the all-transparent overlap sweep.
+        assert trace.counters["term_eval_passes"] == 3
+        assert trace.counters["graph_builds"] == 3
+        assert trace.counters["parametric_stage_evals"] == 188 * corners
+
+    def test_no_result_keeps_a_graph(self):
+        # Later corners swap their arcs into the graphs earlier corners
+        # built, which is sound only while no result holds a graph.
+        import gc
+        import types
+
+        from repro.core.graph import TimingGraph
+
+        net = _zoo("register_file")()
+        mcmm = TimingAnalyzer(net).analyze_mcmm(corner_scenarios(net.tech))
+        seen: set[int] = set()
+        stack = list(mcmm.results.values())
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(
+                obj, (type, types.ModuleType, types.FunctionType)
+            ):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, TimingGraph)
+            stack.extend(gc.get_referents(obj))
+        # The batch, which holds the graphs, ends with the run.
+        assert all(
+            sibling.calculator.batch is None
+            for sibling in mcmm._analyzers.values()
+        )
+
+    @pytest.mark.parametrize("policy", ["strict", "quarantine"])
+    def test_evaluation_failure_lands_on_its_stage(self, monkeypatch, policy):
+        from repro.delay import parametric
+        from repro.errors import StageError
+
+        make = _zoo("shift_register")
+        net = make()
+        tv = TimingAnalyzer(net, on_error=policy)
+        victim = next(
+            dev.name for dev in net.devices.values()
+            if net.gnd in (dev.source, dev.drain)
+        )
+        stage = next(
+            s.index for s in tv.stage_graph if victim in s.device_names
+        )
+        slow = net.tech.corner("slow")
+        resistance = parametric.device_resistance
+
+        def failing(tech, dev, role, transition):
+            if tech == slow and dev.name == victim:
+                raise ZeroDivisionError("planted")
+            return resistance(tech, dev, role, transition)
+
+        monkeypatch.setattr(parametric, "device_resistance", failing)
+        scenarios = corner_scenarios(net.tech)
+        if policy == "strict":
+            with pytest.raises(StageError, match=f"stage {stage}: "):
+                tv.analyze_mcmm(scenarios)
+            return
+        mcmm = tv.analyze_mcmm(scenarios)
+        quarantined = [
+            d for d in mcmm.result("slow").diagnostics
+            if d.action == "quarantined"
+        ]
+        assert [(d.stage, d.message) for d in quarantined] == [
+            (stage, "arc extraction failed: ZeroDivisionError: planted")
+        ]
+        for name in ("typ", "fast"):
+            assert _json(mcmm.result(name)) == _standalone_json(
+                make, name, on_error=policy
+            )
+
+    def test_zero_capacitance_corner_matches_standalone(self):
+        # With no diffusion or floor capacitance, series-stack nodes
+        # carry none at all: the concrete walk skips them, and so must
+        # the compiled evaluation.
+        make = _zoo("ripple_adder")
+        net = make()
+        bare = dataclasses.replace(
+            net.tech, name="no-diffusion",
+            c_diff_area=0.0, c_diff_len=0.0, c_node_floor=0.0,
+        )
+        mcmm = TimingAnalyzer(net).analyze_mcmm(
+            [Scenario(name="bare", tech=bare),
+             Scenario(name="typ", tech=net.tech)]
+        )
+        for scen in mcmm.scenarios:
+            standalone = TimingAnalyzer(make(), tech=scen.tech).analyze()
+            assert _json(mcmm.result(scen.name)) == _json(standalone)
