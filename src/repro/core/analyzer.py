@@ -51,7 +51,7 @@ from ..tech import Technology
 from ..trace import NULL_TRACE, Trace
 from .arrival import DEFAULT_INPUT_SLEW, ArrivalMap, propagate
 from .constraints import ClockVerification, verify_two_phase
-from .graph import TimingGraph
+from .graph import TimingGraph, sweep_graph
 from .paths import PathMemo, TimingPath, critical_paths
 from .provenance import Explanation, explain_arrival
 
@@ -540,10 +540,11 @@ class TimingAnalyzer:
         Shares every structural product (netlist, ERC results, flow
         report, stage graph) with this analyzer, so building one costs
         no ERC/flow/stage work.  Its delay calculator extracts nothing:
-        it evaluates the analytic terms of this analyzer's symbolic
-        calculator (``parametric_source()``) at the scenario's corner
-        (see :mod:`repro.delay.parametric`), and the rest of its
-        ``analyze()`` runs the code a standalone analyzer at that
+        at the scenario's corner it evaluates the analytic terms that
+        this analyzer's calculator extracts into its own arc cache
+        (:meth:`~repro.delay.StageDelayCalculator.arcs` with
+        ``terms=True``; see :mod:`repro.delay.parametric`), and the rest
+        of its ``analyze()`` runs the code a standalone analyzer at that
         corner would.  A sibling's own siblings (the sensitivity sweep
         of an MCMM ``explain``) evaluate the same host terms.
         """
@@ -561,8 +562,7 @@ class TimingAnalyzer:
             scenario.tech if scenario.tech is not None else self.tech
         )
         clone.calculator._term_source = (
-            self.calculator._term_source
-            or self.calculator.parametric_source()
+            self.calculator._term_source or self.calculator
         )
         clone.workers = clone.calculator.workers
         clone.tech = clone.calculator.tech
@@ -836,14 +836,13 @@ class TimingAnalyzer:
                 self.on_error,
                 frozenset(self.calculator.quarantined),
             )
-            changed = None
+            kept = None
             if last is not None and last.inputs == inputs:
-                changed = last.graph.update(arcs)
-            if changed is None:
-                graph, previous = TimingGraph.build(arcs), None
-                self.trace.incr("graph_builds")
-            else:
-                graph, previous = last.graph, last.arrivals
+                kept = last.graph
+            graph, changed = sweep_graph(
+                self.calculator, (None, frozenset()), arcs, kept
+            )
+            previous = last.arrivals if graph is kept else None
         with self.trace.timer("propagate"):
             if sources:
                 arrivals = propagate(
@@ -866,7 +865,13 @@ class TimingAnalyzer:
         memo = last.paths if previous is not None else PathMemo()
         with self.trace.timer("paths"):
             paths = critical_paths(arrivals, endpoints, k=top_k, memo=memo)
-        if sources and not self.calculator.deadline_skipped:
+        # An MCMM sibling keeps nothing: it is never re-analyzed, and the
+        # run's later corners refill the graph it shares with them.
+        if (
+            sources
+            and not self.calculator.deadline_skipped
+            and self.calculator.batch is None
+        ):
             self._last_sweep = _LastSweep(graph, arrivals, inputs, memo)
         worst = memo.worst
         self.trace.incr("arcs", len(arcs))

@@ -245,7 +245,7 @@ def verify_two_phase(
             )
             calculator._qualified_low[phase] = open_gates
         arcs = calculator.all_arcs(active_clocks=active, open_gates=open_gates)
-        graph = sweep_graph(calculator, (active, open_gates), arcs)
+        graph, _changed = sweep_graph(calculator, (active, open_gates), arcs)
 
         sources: dict[tuple[str, str], float] = {}
         for clk in active:
@@ -337,7 +337,7 @@ def _find_races(
         )
         edges = StageContext(calculator, stage, cut).pass_edges(RISE)
         adjacency: dict[str, set[str]] = {}
-        for a, b, _r, _n in edges:
+        for a, b, *_rest in edges:
             adjacency.setdefault(a, set()).add(b)
             adjacency.setdefault(b, set()).add(a)
         for dev in member_latches:

@@ -195,28 +195,37 @@ class TimingGraph:
         return sum(len(v) for v in self.arcs_from.values())
 
 
-def sweep_graph(calculator, sweep: tuple, arcs: list[StageArc]) -> TimingGraph:
-    """The timing graph of one sweep's arcs, built once per MCMM run.
+def sweep_graph(
+    calculator,
+    sweep: tuple,
+    arcs: list[StageArc],
+    kept: TimingGraph | None = None,
+) -> tuple[TimingGraph, list[StageArc] | None]:
+    """The timing graph of one sweep's arcs, and the arcs swapped into it.
 
-    ``sweep`` is ``(active_clocks, open_gates)``.  Outside a run
-    (``calculator.batch`` is None) this is :meth:`TimingGraph.build`.
-    Within one, the graph a corner built for the sweep is kept in the
-    run's batch, and a later corner whose arcs have its structure swaps
-    them into its slots (:meth:`TimingGraph.update`); any structural
-    difference, such as a deadline skip or a quarantine, builds afresh.
-    Reusing a graph in place is safe only because no result keeps one:
-    arrivals and paths hold arcs, never the graph.  The trace counts
-    builds as ``graph_builds``.
+    ``sweep`` is ``(active_clocks, open_gates)``.  Within an MCMM run
+    (``calculator.batch`` is set), the graph a corner built for the
+    sweep is kept in the run's batch; outside one, ``kept`` is the
+    caller's graph of an earlier run of the sweep, if any.  When the
+    arcs have that graph's structure they are swapped into its slots
+    (:meth:`TimingGraph.update`), and the second element lists the
+    changed arcs in the DAG; any structural difference, such as a
+    deadline skip or a quarantine, builds afresh, and the second
+    element is None.  Reusing a graph in place is safe only because no
+    result keeps one: arrivals and paths hold arcs, never the graph.
+    The trace counts builds as ``graph_builds``.
     """
     batch = calculator.batch
-    graph = None if batch is None else batch.graphs.get(sweep)
-    if graph is not None and graph.update(arcs) is not None:
-        return graph
+    graph = kept if batch is None else batch.graphs.get(sweep)
+    if graph is not None:
+        changed = graph.update(arcs)
+        if changed is not None:
+            return graph, changed
     graph = TimingGraph.build(arcs)
     calculator.trace.incr("graph_builds")
     if batch is not None:
         batch.graphs[sweep] = graph
-    return graph
+    return graph, None
 
 
 def _signature(arc: StageArc) -> tuple:

@@ -13,11 +13,13 @@ functions of the netlist *geometry* only, while a corner rescales
 resistances and capacitances uniformly.  So the structural phases run
 once (on the :class:`~repro.core.analyzer.TimingAnalyzer` that hosts the
 MCMM run) and each scenario gets a calculator retargeted to its corner
-(:meth:`StageDelayCalculator.retarget`).  The arcs are extracted once,
-as analytic terms (:mod:`repro.delay.parametric`), and every scenario
-only evaluates them at its corner -- under every delay model, error
-policy and deadline.  When extraction is pooled, it runs on one
-persistent worker pool for the whole sweep.
+(:meth:`StageDelayCalculator.retarget`).  The host's calculator
+extracts the arcs once, as analytic terms (:mod:`repro.delay.parametric`)
+kept in its own arc cache, and every scenario only evaluates them at its
+corner -- under every delay model, error policy and deadline.  When
+extraction is pooled, it runs on one persistent worker pool for the
+whole sweep.  Each sweep's timing graph is built once and shared by the
+corners, combinational or two-phase.
 
 The correctness anchor is **parity**: every scenario's
 :class:`~repro.core.analyzer.AnalysisResult` is byte-identical
@@ -355,8 +357,9 @@ def analyze_mcmm(
     names ``"slow"``/``"typ"``/``"fast"`` as shorthand for corners of
     the analyzer's technology); names must be unique.
 
-    The hosting analyzer's symbolic calculator extracts each arc once
-    as an analytic term over the technology parameter vector, and every
+    The hosting analyzer's calculator extracts each arc once with an
+    analytic term over the technology parameter vector (replacing any
+    concrete list it cached for the stage), and every
     scenario *evaluates* the terms at its corner instead of re-walking
     the stage trees.  All scenario siblings are created first and share
     one :class:`~repro.delay.parametric.CornerBatch` for the run: the

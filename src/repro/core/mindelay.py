@@ -122,7 +122,7 @@ def cross_phase_margins(
     exactly the hazard scenario.
     """
     arcs = calculator.all_arcs(active_clocks=None)
-    graph = sweep_graph(calculator, (None, frozenset()), arcs)
+    graph, _changed = sweep_graph(calculator, (None, frozenset()), arcs)
     margins: list[OverlapMargin] = []
     for phase in clock.phases:
         other = clock.other(phase)

@@ -15,8 +15,8 @@ Public surface:
   :func:`shutdown_pool`, :func:`pool_diagnostics`,
   :data:`WORKERS_AUTO` -- persistent extraction-pool controls
   (:mod:`repro.delay.pool`)
-* :data:`PARAMETERS`, :func:`perturbed`, :func:`evaluate_arcs`,
-  :func:`evaluate_timing` -- the parametric (symbolic) delay layer
+* :data:`PARAMETERS`, :func:`perturbed`, :func:`evaluate_arcs` -- the
+  parametric (symbolic) delay layer
 """
 
 from .effective_res import FALL, RISE, device_resistance
@@ -24,7 +24,6 @@ from .parametric import (
     PARAMETERS,
     SENSITIVITY_REL_STEP,
     evaluate_arcs,
-    evaluate_timing,
     perturbed,
 )
 from .elmore import elmore_delay, lumped_delay
@@ -80,5 +79,4 @@ __all__ = [
     "SENSITIVITY_REL_STEP",
     "perturbed",
     "evaluate_arcs",
-    "evaluate_timing",
 ]

@@ -7,13 +7,15 @@ would make a multi-corner sweep or a "what moves this path?" query pay
 the full structural extraction again for every parameter point.
 
 This module is the symbolic layer on top (after arXiv:2510.15907).  When
-a :class:`~repro.delay.stage_delay.StageDelayCalculator` runs with
-``parametric`` enabled (its ``parametric_source()``), each extracted
+a :class:`~repro.delay.stage_delay.StageDelayCalculator` extracts a
+stage with ``terms=True``, each extracted
 :class:`~repro.delay.stage_delay.ArcTiming` carries a **term**: a
 replayable analytic recipe over the technology parameter vector, built
-once during the structural walk.  Every corner of every delay model is
-timed by evaluating these terms; nothing re-extracts at a corner.  A
-term is a nested tuple:
+once during the structural walk from the resistance atom every edge
+record carries.  Every corner of every delay model is timed by
+evaluating these terms; nothing re-extracts at a corner.  A corner's
+calculator takes the terms from its host calculator, whose one arc
+cache holds them.  A term is a nested tuple:
 
 ``("spine", recipes, contribs, root, output, path, truncated)``
     One Elmore RC-tree evaluation.  ``recipes`` name the spine
@@ -85,7 +87,6 @@ __all__ = [
     "PARAMETERS",
     "SENSITIVITY_REL_STEP",
     "perturbed",
-    "evaluate_timing",
     "evaluate_arcs",
 ]
 
@@ -208,8 +209,8 @@ class _Program:
                 continue
             if timing.term is None:
                 raise ValueError(
-                    "timing carries no parametric term; extract it with the "
-                    "calculator's parametric_source() first"
+                    "timing carries no parametric term; extract it with "
+                    "terms=True first"
                 )
             op = self._compile(timing.term)
             slot = slot_of.get(op)
@@ -352,31 +353,19 @@ class _Program:
         return [made[slot] for slot in self.slots]
 
 
-def evaluate_timing(calc, stage, timing):
-    """Re-evaluate one term-carrying :class:`ArcTiming` at ``calc.tech``.
-
-    Returns a fresh timing whose floats are what concrete extraction at
-    ``calc``'s technology would have produced (bit-for-bit at the term's
-    own extraction point), or ``None`` if ``timing`` is ``None``.
-    Raises :class:`ValueError` if the timing carries no term.  ``stage``
-    is the timing's stage; the term names everything it reads.
-    """
-    return _Program(calc.netlist.gnd, [timing]).timings(calc)[0]
-
-
-def evaluate_arcs(calc, stage, arcs, *, peers=None):
+def evaluate_arcs(calc, arcs, *, peers=None):
     """Instantiate term-carrying arcs at ``calc``'s technology point.
 
-    ``arcs`` are the symbolic source's merged :class:`StageArc` lists:
-    one stage's (``stage``), or the concatenated lists of several stages
-    (``stage=None``); each term names everything it reads.  The result
-    is the arc list a full concrete extraction at ``calc.tech`` would
-    produce, at evaluation cost (no path search).  The terms are
-    compiled once; with ``peers`` (calculators of the same structure at
-    other technology points) the compiled program also runs at each
-    peer's point, and the result is one list per calculator, ``calc``'s
-    first.  Raises :class:`ValueError` if any timing carries no term, so
-    a concrete arc list can never pass for an evaluated one.
+    ``arcs`` are merged :class:`StageArc` lists extracted with terms: one
+    stage's, or the concatenated lists of several stages; each term
+    names everything it reads.  The result is the arc list a full
+    concrete extraction at ``calc.tech`` would produce, at evaluation
+    cost (no path search).  The terms are compiled once; with ``peers``
+    (calculators of the same structure at other technology points) the
+    compiled program also runs at each peer's point, and the result is
+    one list per calculator, ``calc``'s first.  Raises
+    :class:`ValueError` if any timing carries no term, so a concrete arc
+    list can never pass for an evaluated one.
     """
     program = _Program(
         calc.netlist.gnd,

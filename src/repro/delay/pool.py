@@ -15,7 +15,9 @@ a fresh snapshot.  Workers attach the calculator -- netlist, stage graph, and
 warm per-device caches included -- as a **shared immutable snapshot**
 inherited by the fork at pool start; per-task traffic is only
 ``(run token, term flag, chunk of stage indices)`` down and compact arc
-tuples back (never the netlist, never dataclass pickles).  Stage batches
+tuples back (never the netlist, never dataclass pickles).  The term
+flag is the extraction's ``terms`` argument: a corner run has its host
+calculator extract with terms on the host's own snapshot.  Stage batches
 are **sized by estimated device work** (device count squared, a proxy
 for the superlinear path-search cost) so one oversized stage -- e.g. a
 barrel-shifter matrix -- cannot serialize a whole chunk of small ones.
@@ -163,11 +165,14 @@ def extract(
     indices: list[int],
     active_clocks: frozenset[str] | None,
     open_gates: frozenset[str],
+    terms: bool,
     workers: int,
     deadline: float | None,
 ) -> dict[int, list[stage_delay.StageArc]]:
     """Extract stages ``indices`` of ``calc`` on the persistent pool.
 
+    ``terms`` is passed to each stage's
+    :meth:`~repro.delay.stage_delay.StageDelayCalculator.arcs`.
     Returns the arcs the pool delivered, per stage index; the caller
     caches them and its serial walk computes whatever is missing, so
     the merged arc list is deterministic and identical to serial
@@ -203,8 +208,8 @@ def extract(
                 backoff *= 2
             try:
                 pending = _run_pool(
-                    calc, pending, active_clocks, open_gates, workers,
-                    deadline, delivered,
+                    calc, pending, active_clocks, open_gates, terms,
+                    workers, deadline, delivered,
                 )
             except KeyboardInterrupt:
                 raise
@@ -255,7 +260,8 @@ def _work_chunks(graph, indices: list[int], workers: int) -> list[list[int]]:
 
 
 def _run_pool(
-    calc, chunks, active_clocks, open_gates, workers, deadline, delivered
+    calc, chunks, active_clocks, open_gates, terms, workers, deadline,
+    delivered,
 ) -> list[list[int]]:
     """One supervised pool attempt; returns the chunks that failed.
 
@@ -287,7 +293,7 @@ def _run_pool(
                 pool.submit(
                     _pool_extract,
                     run_token,
-                    calc.parametric,
+                    terms,
                     active_clocks,
                     open_gates,
                     chunk,
@@ -519,11 +525,9 @@ def warm_for(calc: stage_delay.StageDelayCalculator) -> bool:
     return _POOL.warm_for(calc)
 
 
-#: Worker-side state: the fork-inherited calculator snapshot and its
-#: concrete/symbolic views (keyed on ``parametric``), and the run token
-#: of the sweep the worker last extracted for.
+#: Worker-side state: the fork-inherited calculator snapshot, and the
+#: run token of the sweep the worker last extracted for.
 _POOL_CALC: stage_delay.StageDelayCalculator | None = None
-_POOL_VIEWS: dict[bool, stage_delay.StageDelayCalculator] = {}
 _POOL_RUN_TOKEN: int | None = None
 
 
@@ -539,32 +543,13 @@ def _pool_init(calc: stage_delay.StageDelayCalculator) -> None:
     """
     global _POOL_CALC, _POOL_RUN_TOKEN
     _POOL_CALC = calc
-    _POOL_VIEWS.clear()
-    _POOL_VIEWS[calc.parametric] = calc
     _POOL_RUN_TOKEN = None
     _POOL.discard()  # child side: reference drop only (owner-pid guard)
 
 
-def _pool_calc_for(parametric: bool) -> stage_delay.StageDelayCalculator:
-    """The worker's concrete or symbolic view of its snapshot.
-
-    A calculator and its ``parametric_source()`` share one pool binding
-    and one technology, so whichever of the two forked the pool, the
-    other is a same-technology retarget of the snapshot, built on first
-    use and kept for the rest of the pool's life.
-    """
-    view = _POOL_VIEWS.get(parametric)
-    if view is None:
-        assert _POOL_CALC is not None
-        view = _POOL_CALC.retarget(_POOL_CALC.tech)
-        view.parametric = parametric
-        _POOL_VIEWS[parametric] = view
-    return view
-
-
 def _pool_extract(
     run_token: int,
-    parametric: bool,
+    terms: bool,
     active_clocks: frozenset[str] | None,
     open_gates: frozenset[str],
     indices: list[int],
@@ -573,18 +558,19 @@ def _pool_extract(
     # them to crash/hang this worker or corrupt its return value (fork
     # workers inherit the installed handler by memory copy).
     global _POOL_RUN_TOKEN
+    calc = _POOL_CALC
     if run_token != _POOL_RUN_TOKEN:
         # New sweep: drop arcs cached by earlier sweeps so repeated
         # measurements do honest work.  Device facts and node-cap caches
         # persist -- amortizing those is the pool's entire point.
-        for view in _POOL_VIEWS.values():
-            view._arc_cache.clear()
+        calc._arc_cache.clear()
         _POOL_RUN_TOKEN = run_token
-    calc = _pool_calc_for(parametric)
     out = []
     for index in indices:
         robust.fault_point("worker-task", index)
-        arcs = calc.arcs(calc.graph[index], active_clocks, open_gates)
+        arcs = calc.arcs(
+            calc.graph[index], active_clocks, open_gates, terms=terms
+        )
         out.append((index, _arcs_to_wire(arcs)))
     return robust.fault_point("worker-result", out)
 

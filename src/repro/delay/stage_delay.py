@@ -37,10 +37,12 @@ silently).  The search is a depth-first walk in adjacency order, so
 which paths a truncated arc saw -- and hence its delay -- follows that
 order.
 
-A corner is never extracted.  The symbolic twin of a calculator
-(:meth:`StageDelayCalculator.parametric_source`) records each timing as
-a replayable term (:mod:`repro.delay.parametric`), under every model,
-and a corner clone evaluates those terms at its technology.
+A corner is never extracted.  Extraction with ``terms=True`` also
+records each timing as a replayable term (:mod:`repro.delay.parametric`)
+under every model, naming each resistance by the atom its edge record
+carries.  A corner clone evaluates the term-carrying arcs of its term
+source, the host calculator, whose one list per ``(stage index, cut
+set)`` serves concrete and corner callers alike (see :meth:`arcs`).
 
 Throughput
 ----------
@@ -128,8 +130,8 @@ class ArcTiming:
     ``term`` is the optional parametric recipe behind the floats (see
     :mod:`repro.delay.parametric`): a plain nested tuple that replays
     this timing's arithmetic at any technology point.  ``None`` (the
-    default) in concrete mode; populated when the calculator extracts
-    with ``parametric`` enabled.
+    default) in concrete mode; populated when the stage is extracted
+    with ``terms=True``.
     """
 
     delay: float
@@ -169,15 +171,13 @@ class StageContext:
     ``(stage, cut set)`` combination, computed lazily and exactly once:
     resolved member devices, conduction edge lists per transition,
     the conduction and pass adjacency maps (with per-hop device facts
-    pre-resolved), and the pulled-up node table.  Before this existed,
-    every extractor rebuilt its own edge lists and every path search
-    rebuilt its own adjacency dict -- roughly 8 edge builds and 10+
-    adjacency builds per stage per extraction.
+    pre-resolved), and the pulled-up node table.
 
     ``cut`` names the member devices the sweep cuts (see
     :meth:`StageDelayCalculator._cut_map`).  It is the context's only
     view of the sweep, so two sweeps that cut the same member devices
-    build the same context and extract the same arcs.
+    build the same context and extract the same arcs.  ``terms`` says
+    whether the extracted timings carry parametric terms.
     """
 
     __slots__ = (
@@ -185,6 +185,7 @@ class StageContext:
         "stage",
         "devices",
         "cut",
+        "terms",
         "_cond",
         "_adj",
         "_pulled",
@@ -196,11 +197,13 @@ class StageContext:
         calc: "StageDelayCalculator",
         stage: Stage,
         cut: frozenset[str],
+        terms: bool = False,
     ):
         self.calc = calc
         self.stage = stage
         self.devices = calc.graph.devices_of(stage)
         self.cut = cut
+        self.terms = terms
         self._cond: dict[str, list] = {}
         self._adj: dict[tuple[str, str], dict] = {}
         self._pulled: dict[str, float] | None = None
@@ -372,16 +375,9 @@ class StageDelayCalculator:
         #          source_is_boundary, drain_is_boundary); see
         # _device_fact_map.
         self._device_facts: dict[str, tuple] | None = None
-        #: When True, extracted ArcTimings carry parametric terms (see
-        #: repro.delay.parametric).  Off by default: building terms costs
-        #: time and memory that a single-corner run has no use for.
-        self.parametric = False
-        #: Symbolic sibling serving term-carrying arcs for this
-        #: structure, built lazily by :meth:`parametric_source`.
-        self._parametric_source: "StageDelayCalculator | None" = None
-        #: When set, :meth:`arcs` evaluates this source's terms at our
-        #: tech instead of extracting, and :meth:`all_arcs` pre-fills
-        #: the source's cache on the pool.
+        #: The host calculator of a corner clone: :meth:`arcs` evaluates
+        #: its term-carrying arcs at our tech instead of extracting, and
+        #: :meth:`all_arcs` pre-fills its cache on the pool.
         self._term_source: "StageDelayCalculator | None" = None
         #: The run's :class:`~repro.delay.parametric.CornerBatch` while an
         #: MCMM run analyzes this corner: :meth:`all_arcs` evaluates terms
@@ -396,6 +392,8 @@ class StageDelayCalculator:
         stage: Stage,
         active_clocks: frozenset[str] | None = None,
         open_gates: frozenset[str] = frozenset(),
+        *,
+        terms: bool = False,
     ) -> list[StageArc]:
         """All timing arcs of ``stage`` (deduplicated, worst-case merged).
 
@@ -415,13 +413,19 @@ class StageDelayCalculator:
         cuts (:meth:`_cut_map`), so they are cached per ``(stage.index,
         cut set)``: another sweep that cuts the same devices is served
         from the cache.
+
+        ``terms=True`` asks for timings that carry parametric terms
+        (:mod:`repro.delay.parametric`), which cost time and memory a
+        single-corner run has no use for.  One list is kept per key: a
+        term-carrying list serves every caller, and a cached list
+        without terms is re-extracted with them and replaced.
         """
         cut = self._cut_map(active_clocks, open_gates).get(
             stage.index, _NO_CUTS
         )
         cache_key = (stage.index, cut)
         cached = self._arc_cache.get(cache_key)
-        if cached is not None:
+        if cached is not None and not (terms and _lacks_terms(cached)):
             return cached
         source = self._term_source
         if source is not None:
@@ -431,12 +435,13 @@ class StageDelayCalculator:
             from .parametric import evaluate_arcs
 
             merged = evaluate_arcs(
-                self, stage, source.arcs(stage, active_clocks, open_gates)
+                self,
+                source.arcs(stage, active_clocks, open_gates, terms=True),
             )
             self.trace.incr("term_eval_passes")
             self.trace.incr("parametric_stage_evals")
         else:
-            ctx = StageContext(self, stage, cut)
+            ctx = StageContext(self, stage, cut, terms)
             raw: list[StageArc] = []
             raw.extend(self._gate_arcs(ctx))
             raw.extend(self._clocked_switch_arcs(ctx))
@@ -447,27 +452,6 @@ class StageDelayCalculator:
             merged = _merge_arcs(raw)
         self._arc_cache[cache_key] = merged
         return merged
-
-    def parametric_source(self) -> "StageDelayCalculator":
-        """The memoized symbolic sibling of this calculator.
-
-        A :meth:`retarget` clone at this calculator's own technology
-        with ``parametric`` enabled: its extractions emit term-carrying
-        arcs, under every delay model, that corner clones evaluate
-        instead of re-extracting (see ``TimingAnalyzer.analyze_mcmm``).
-        It shares this calculator's technology and pool binding, so
-        pooled symbolic sweeps reuse the same persistent pool, and
-        :meth:`invalidate_devices` keeps its caches in lockstep with
-        ours.
-        """
-        source = self._parametric_source
-        if source is None:
-            source = self.retarget(self.tech)
-            source.parametric = True
-            source._pool_token = self._pool_token
-            source._pool_epoch = self._pool_epoch
-            self._parametric_source = source
-        return source
 
     def invalidate_devices(self, device_names) -> None:
         """Drop cached results touched by edited devices (e.g. resizing).
@@ -503,10 +487,6 @@ class StageDelayCalculator:
                 cut = cut_map.get(index)
                 if cut is not None:
                     cache.pop((index, cut), None)
-        if self._parametric_source is not None:
-            # The symbolic sibling shares our pool binding and serves
-            # corner clones; its terms predate the edit too.
-            self._parametric_source.invalidate_devices(device_names)
 
     def retarget(self, tech: Technology) -> "StageDelayCalculator":
         """A calculator evaluating the same structure at ``tech``.
@@ -544,7 +524,6 @@ class StageDelayCalculator:
         clone._device_facts = self._device_fact_map()
         clone._cut_maps = self._cut_maps
         clone._qualified_low = self._qualified_low
-        clone.parametric = self.parametric
         return clone
 
     def set_deadline(self, budget: float | None) -> None:
@@ -628,8 +607,9 @@ class StageDelayCalculator:
         serial one.
 
         The pool only *pre-fills* the arc cache of the calculator that
-        extracts -- the term source of a corner sibling, or this
-        calculator itself -- and stops at this calculator's deadline.  A
+        extracts -- the term source of a corner sibling, which extracts
+        with terms, or this calculator itself -- and stops at this
+        calculator's deadline.  A
         corner sibling's walk collects the source's arcs of the stages
         its cache cannot serve and, once over, evaluates them in one pass
         (``term_eval_passes``) for itself and every waiting member of its
@@ -651,12 +631,16 @@ class StageDelayCalculator:
         # A corner sibling's term source extracts (terms travel back
         # over the wire); the walk below evaluates them serially, which
         # is far too cheap to be worth pool traffic.
-        extractor = self._term_source or self
+        source = self._term_source
+        extractor = source or self
+        terms = source is not None
         if parallel is None:
             use_pool = resolved > 1 and pool.parallel_crossover(
                 sum(
                     len(self.graph[index].device_names)
-                    for index in extractor._uncached(active_clocks, open_gates)
+                    for index in extractor._uncached(
+                        active_clocks, open_gates, terms
+                    )
                 ),
                 pool_warm=pool.warm_for(extractor),
             )
@@ -671,9 +655,10 @@ class StageDelayCalculator:
         if use_pool:
             delivered = pool.extract(
                 extractor,
-                extractor._uncached(active_clocks, open_gates),
+                extractor._uncached(active_clocks, open_gates, terms),
                 active_clocks,
                 open_gates,
+                terms,
                 resolved,
                 self.deadline,
             )
@@ -681,7 +666,6 @@ class StageDelayCalculator:
                 extractor._arc_cache[
                     (index, cut_map.get(index, _NO_CUTS))
                 ] = arcs
-        source = self._term_source
         parts: list[list[StageArc]] = []
         # (index into parts, cache key, stage, source arcs) of each stage
         # whose terms this walk evaluates once it is over.
@@ -723,7 +707,9 @@ class StageDelayCalculator:
                             len(parts),
                             key,
                             stage,
-                            source.arcs(stage, active_clocks, open_gates),
+                            source.arcs(
+                                stage, active_clocks, open_gates, terms=True
+                            ),
                         ))
                         stage_arcs = []
             except Exception as exc:
@@ -794,7 +780,6 @@ class StageDelayCalculator:
         try:
             lists = evaluate_arcs(
                 self,
-                None,
                 [arc for *_rest, arcs in todo for arc in arcs],
                 peers=peers,
             )
@@ -816,17 +801,23 @@ class StageDelayCalculator:
         self.trace.incr("parametric_stage_evals", len(todo))
 
     def _uncached(
-        self, active_clocks: frozenset[str] | None, open_gates: frozenset[str]
+        self,
+        active_clocks: frozenset[str] | None,
+        open_gates: frozenset[str],
+        terms: bool = False,
     ) -> list[int]:
-        """Indices of the non-quarantined stages the arc cache cannot serve."""
+        """Indices of the non-quarantined stages the arc cache cannot
+        serve (with ``terms``: cannot serve with terms, see :meth:`arcs`)."""
         cache = self._arc_cache
         cut_map = self._cut_map(active_clocks, open_gates)
-        return [
-            stage.index
-            for stage in self.graph
-            if stage.index not in self.quarantined
-            and (stage.index, cut_map.get(stage.index, _NO_CUTS)) not in cache
-        ]
+        uncached = []
+        for stage in self.graph:
+            if stage.index in self.quarantined:
+                continue
+            arcs = cache.get((stage.index, cut_map.get(stage.index, _NO_CUTS)))
+            if arcs is None or terms and _lacks_terms(arcs):
+                uncached.append(stage.index)
+        return uncached
 
     def _clock_open(
         self,
@@ -909,10 +900,12 @@ class StageDelayCalculator:
             # each gate appearing on a discharge path, the worst path that
             # includes a device it gates.
             fall_by_gate = self._worst_timings(
-                output, {self.netlist.gnd}, fall_adjacency, FALL, _BY_GATE,
-                triggers,
+                output, {self.netlist.gnd}, fall_adjacency, _BY_GATE,
+                triggers, terms=ctx.terms,
             )
-            rise = self._rise_via_pullup(output, pulled_up, rise_adjacency)
+            rise = self._rise_via_pullup(
+                output, pulled_up, rise_adjacency, terms=ctx.terms
+            )
             for trigger in triggers:
                 fall = fall_by_gate.get(trigger)
                 if fall is None:
@@ -1000,9 +993,8 @@ class StageDelayCalculator:
                 continue
             if ctx.clock_open(dev):
                 continue
-            node = (
-                dev.source if dev.drain == self.netlist.vdd else dev.drain
-            )
+            head = self._vdd_head(dev, "precharge")
+            node = head[0]
             siblings = {
                 (d.source if d.drain == self.netlist.vdd else d.drain)
                 for d in ctx.devices
@@ -1018,21 +1010,18 @@ class StageDelayCalculator:
                 ])
             else:
                 filtered_adjacency = ctx.pass_adjacency(RISE)
-            r_pre = device_resistance(self.tech, dev, "precharge", RISE)
             outputs = stage.outputs | ({node} & stage.nodes)
             for output in outputs:
                 if output != node and output in siblings:
                     continue  # it has its own (parallel) precharger
-                spine = self._spine_from_vdd(
-                    node, r_pre, dev.name, output, filtered_adjacency
-                )
+                spine = self._spine_from_vdd(head, output, filtered_adjacency)
                 if spine is None:
                     continue
                 timing = self._timing_from_spine(
                     spine,
                     output,
-                    adjacency=ctx.conduction_adjacency(RISE),
-                    transition=RISE,
+                    ctx.conduction_adjacency(RISE),
+                    terms=ctx.terms,
                 )
                 arcs.append(
                     StageArc(
@@ -1062,16 +1051,13 @@ class StageDelayCalculator:
                 continue
             if self.netlist.vdd not in dev.channel_nodes:
                 continue
-            node = dev.other_channel(self.netlist.vdd)
-            r_up = device_resistance(self.tech, dev, "pullup", RISE)
-            for output in stage.outputs | ({node} & stage.nodes):
-                spine = self._spine_from_vdd(
-                    node, r_up, dev.name, output, rise_adjacency
-                )
+            head = self._vdd_head(dev, "pullup")
+            for output in stage.outputs | ({head[0]} & stage.nodes):
+                spine = self._spine_from_vdd(head, output, rise_adjacency)
                 if spine is None:
                     continue
                 timing = self._timing_from_spine(
-                    spine, output, adjacency=rise_adjacency, transition=RISE
+                    spine, output, rise_adjacency, terms=ctx.terms
                 )
                 arcs.append(
                     StageArc(
@@ -1179,8 +1165,8 @@ class StageDelayCalculator:
         """Rise and fall :meth:`_worst_timings` of the pass network."""
         return tuple(
             self._worst_timings(
-                output, targets, ctx.pass_adjacency(transition), transition,
-                key, wanted,
+                output, targets, ctx.pass_adjacency(transition), key, wanted,
+                terms=ctx.terms,
             )
             for transition in (RISE, FALL)
         )
@@ -1256,8 +1242,10 @@ class StageDelayCalculator:
         devices: list[Transistor],
         transition: str,
         cut: frozenset[str],
-    ) -> list[tuple[str, str, float, str]]:
-        """Resistive edges usable on a discharge path (pulldowns + passes)."""
+    ) -> list[tuple[str, str, float, str, tuple]]:
+        """Resistive edges usable on a discharge path (pulldowns + passes),
+        as ``(source, drain, r, device, atom)``: ``atom`` names the
+        :func:`device_resistance` call behind ``r`` for parametric terms."""
         edges = []
         vdd = self.netlist.vdd
         gnd = self.netlist.gnd
@@ -1270,11 +1258,14 @@ class StageDelayCalculator:
                 continue  # precharge / vdd switches never discharge
             if dev.name in cut:
                 continue
-            if source == gnd or drain == gnd:
-                r = device_resistance(self.tech, dev, "pulldown", transition)
-            else:
-                r = device_resistance(self.tech, dev, "pass", transition)
-            edges.append((source, drain, r, dev.name))
+            role = "pulldown" if gnd in (source, drain) else "pass"
+            edges.append((
+                source,
+                drain,
+                device_resistance(self.tech, dev, role, transition),
+                dev.name,
+                ("res", dev.name, role, transition),
+            ))
         return edges
 
     # ------------------------------------------------------------------
@@ -1314,29 +1305,31 @@ class StageDelayCalculator:
 
     def _build_adjacency(
         self,
-        edges: list[tuple[str, str, float, str]],
+        edges: list[tuple[str, str, float, str, tuple]],
         *,
         backward_flow: bool = True,
     ) -> dict[str, list[tuple]]:
         """Adjacency map with per-hop device facts pre-resolved.
 
-        Each directed hop ``node -> neighbor`` is an 8-tuple
-        ``(neighbor, r, name, gate, group, in_ok, out_ok, neighbor_is_boundary)``
-        where ``in_ok`` means the path search (:meth:`_worst_paths`) may
-        take it: the device can carry signal ``neighbor -> node``, or
-        always when ``backward_flow`` is off.  ``out_ok`` means it can
-        carry ``node -> neighbor`` (the branch BFS).  Resolving the device,
-        its one-hot group, its flow legality, and the boundary test here --
-        once per (stage, transition) -- removes four dict/method lookups
-        per visited edge from every DFS/BFS inner loop.
+        Each directed hop ``node -> neighbor`` is a 9-tuple
+        ``(neighbor, r, name, gate, group, in_ok, out_ok,
+        neighbor_is_boundary, atom)`` where ``in_ok`` means the path
+        search (:meth:`_worst_paths`) may take it: the device can carry
+        signal ``neighbor -> node``, or always when ``backward_flow`` is
+        off.  ``out_ok`` means it can carry ``node -> neighbor`` (the
+        branch BFS), and ``atom`` is the edge's resistance atom
+        (:meth:`_conduction_edges`).  Resolving the device, its one-hot
+        group, its flow legality, and the boundary test here -- once per
+        (stage, transition) -- removes four dict/method lookups per
+        visited edge from every DFS/BFS inner loop.
 
-        Every edge tuple is built as ``(source, drain, r, name)``, so the
-        cached per-device facts apply directly (swapped when the device is
-        walked drain-first).
+        Every edge tuple is built as ``(source, drain, r, name, atom)``,
+        so the cached per-device facts apply directly (swapped when the
+        device is walked drain-first).
         """
         facts = self._device_fact_map()
         adjacency: dict[str, list[tuple]] = {}
-        for a, b, r, name in edges:
+        for a, b, r, name, atom in edges:
             gate, group, source, out_s, out_d, s_bnd, d_bnd = facts[name]
             if a == source:
                 out_of_a, out_of_b = out_s, out_d
@@ -1347,10 +1340,10 @@ class StageDelayCalculator:
             in_a = out_of_b or not backward_flow
             in_b = out_of_a or not backward_flow
             adjacency.setdefault(a, []).append(
-                (b, r, name, gate, group, in_a, out_of_a, b_boundary)
+                (b, r, name, gate, group, in_a, out_of_a, b_boundary, atom)
             )
             adjacency.setdefault(b, []).append(
-                (a, r, name, gate, group, in_b, out_of_b, a_boundary)
+                (a, r, name, gate, group, in_b, out_of_b, a_boundary, atom)
             )
         return adjacency
 
@@ -1413,7 +1406,7 @@ class StageDelayCalculator:
                         best[k] = (r_sum, copied)
                 return
             for hop in adjacency.get(node, ()):
-                neighbor, r, _name, gate, group, in_ok, _out_ok, boundary = hop
+                neighbor, r, _name, gate, group, in_ok, _out, boundary, _ = hop
                 if neighbor in visited or not in_ok:
                     continue
                 if boundary and neighbor not in targets:
@@ -1449,9 +1442,10 @@ class StageDelayCalculator:
         output: str,
         targets: set[str],
         adjacency: dict,
-        transition: str,
         key: int | None = None,
         wanted=(None,),
+        *,
+        terms: bool,
     ) -> dict:
         """Timing of each ``wanted`` key's :meth:`_worst_paths` path.
 
@@ -1468,10 +1462,7 @@ class StageDelayCalculator:
             timing = by_path.get(id(path))
             if timing is None:
                 timing = self._timing_from_spine(
-                    _spine_of(path),
-                    output,
-                    adjacency=adjacency,
-                    transition=transition,
+                    _spine_of(path), output, adjacency, terms=terms
                 )
                 if truncated:
                     timing = _mark_truncated(timing)
@@ -1479,59 +1470,20 @@ class StageDelayCalculator:
             timings[k] = timing
         return timings
 
-    def _spine_groups(
-        self, spine: list[tuple[str, str, float, str]]
-    ) -> dict[int, str]:
-        """One-hot groups asserted by the gates of the spine devices."""
-        spine_groups: dict[int, str] = {}
-        devices = self.netlist.devices
-        exclusive_group_of = self.netlist.exclusive_group_of
-        for _p, _c, _r, name in spine:
-            dev = devices.get(name)
-            if dev is not None:
-                group = exclusive_group_of(dev.gate)
-                if group is not None:
-                    spine_groups[group] = dev.gate
-        return spine_groups
-
-    def _edge_recipe(
-        self, parent: str, child: str, name: str, transition: str
-    ) -> tuple:
-        """Symbolic atom reproducing one spine edge's resistance.
-
-        Derived structurally, mirroring how the edge builders assign
-        roles: a synthetic ``load@node`` head is the pull-up combine; a
-        real device from vdd is a follower pull-up (DEP) or precharge
-        (ENH); a rail-touching enhancement device is a pulldown; all
-        other edges are pass transfers (conduction and pass edge lists
-        both exclude the remaining cases).
-        """
-        dev = self.netlist.devices.get(name)
-        if dev is None:
-            # _rise_via_pullup's synthetic "load@node" head.
-            return ("load", child)
-        vdd = self.netlist.vdd
-        if parent == vdd:
-            if dev.kind is DeviceKind.DEP:
-                return ("res", name, "pullup", RISE)
-            return ("res", name, "precharge", RISE)
-        if self.netlist.gnd in (dev.source, dev.drain):
-            return ("res", name, "pulldown", transition)
-        return ("res", name, "pass", transition)
-
     def _timing_from_spine(
         self,
-        spine: list[tuple[str, str, float, str]],
+        spine: list[tuple[str, str, tuple]],
         output: str,
-        *,
         adjacency: dict,
-        transition: str,
+        *,
+        terms: bool,
     ) -> ArcTiming:
         """Evaluate the configured delay metric for a spine's RC tree.
 
         The spine is the resistive path from the driving point (``root``,
-        the first spine node) to ``output``; every other conducting edge
-        of ``adjacency`` hangs a capacitive branch.  One branch walk
+        the first spine node) to ``output``, as ``(parent, child, hop)``
+        edges (:func:`_spine_of`); every other conducting edge of
+        ``adjacency`` hangs a capacitive branch.  One branch walk
         serves every delay model: it follows signal flow outward from the
         spine, breadth first, never crosses rails or boundary nodes
         (incompressible sources), and honours one-hot assertions against
@@ -1546,16 +1498,15 @@ class StageDelayCalculator:
         Elmore's accumulation visits the nodes in that same order, so the
         two give bit-identical Elmore delays.
 
-        With ``self.parametric`` set, the timing also carries a replayable
-        term (``transition`` is the transition of the edge set the spine
-        came from), so :mod:`repro.delay.parametric` can re-run the
-        identical arithmetic at any technology point.  Elmore records the
-        spine resistances as symbolic atoms (:meth:`_edge_recipe`) and
-        every visited node's prefix index, in visit order; the tree models
-        record every tree edge in insertion order with its atom.
+        With ``terms`` the timing also carries a replayable term, so
+        :mod:`repro.delay.parametric` can re-run the identical arithmetic
+        at any technology point.  Each resistance is named by its hop's
+        atom.  Elmore records the spine's atoms and every visited node's
+        prefix index, in visit order; the tree models record every tree
+        edge in insertion order with its atom.
         """
         elmore = self.model == "elmore"
-        build_term = self.parametric and elmore
+        build_term = terms and elmore
         root = spine[0][0]
         node_cap = self._node_cap
         r_root = 0.0
@@ -1564,44 +1515,32 @@ class StageDelayCalculator:
         shared: dict[str, float] = {root: 0.0}
         tau = 0.0
         if build_term:
-            recipes = []
             contribs = []
             # idx_of[k]: index into the replayed prefix-resistance list
             # whose entry equals shared[k] (root is prefix 0).
             idx_of = {root: 0}
-        used_devices = []
-        for parent, child, r, name in spine:
-            r_root += r
+        for index, (_parent, child, hop) in enumerate(spine, 1):
+            r_root += hop[1]
             shared[child] = r_root
-            used_devices.append(name)
             if build_term:
-                recipes.append(
-                    self._edge_recipe(parent, child, name, transition)
-                )
-                idx_of[child] = len(recipes)
-                contribs.append((len(recipes), child))
+                idx_of[child] = index
+                contribs.append((index, child))
             if elmore:
                 cap = node_cap(child)
                 if cap != 0.0:
                     tau += r_root * cap
         tree_edges = None if elmore else list(spine)
 
-        spine_groups = self._spine_groups(spine)
-        frontier = deque(child for _p, child, _r, _n in spine)
+        spine_groups = {
+            hop[4]: hop[3] for _p, _c, hop in spine if hop[4] is not None
+        }
+        frontier = deque(child for _p, child, _hop in spine)
         while frontier:
             current = frontier.popleft()
             current_shared = shared[current]
-            for (
-                neighbor,
-                r,
-                name,
-                gate,
-                group,
-                _in_ok,
-                out_ok,
-                neighbor_boundary,
-            ) in adjacency.get(current, ()):
-                if neighbor in shared or neighbor_boundary:
+            for hop in adjacency.get(current, ()):
+                neighbor, _r, _n, gate, group, _in, out_ok, boundary, _ = hop
+                if neighbor in shared or boundary:
                     continue
                 if not out_ok:
                     continue
@@ -1610,7 +1549,7 @@ class StageDelayCalculator:
                 shared[neighbor] = current_shared
                 frontier.append(neighbor)
                 if tree_edges is not None:
-                    tree_edges.append((current, neighbor, r, name))
+                    tree_edges.append((current, neighbor, hop))
                     continue
                 if build_term:
                     idx = idx_of[current]
@@ -1620,18 +1559,16 @@ class StageDelayCalculator:
                 if cap != 0.0:
                     tau += current_shared * cap
 
-        path = tuple(used_devices)
+        path = tuple(hop[2] for _p, _c, hop in spine)
         term = None
         if tree_edges is not None:
             tree = RCTree(root)
-            for parent, child, r, _name in tree_edges:
-                tree.add_child(parent, child, r, node_cap(child))
+            for parent, child, hop in tree_edges:
+                tree.add_child(parent, child, hop[1], node_cap(child))
             delay, tau = self._tree_delay(tree, output)
-            if self.parametric:
-                recipe = self._edge_recipe
+            if terms:
                 atoms = tuple(
-                    (parent, child, recipe(parent, child, name, transition))
-                    for parent, child, _r, name in tree_edges
+                    (parent, child, hop[8]) for parent, child, hop in tree_edges
                 )
                 term = ("tree", atoms, root, output, path, False)
             return ArcTiming(delay=delay, tau=tau, path=path, term=term)
@@ -1642,7 +1579,7 @@ class StageDelayCalculator:
         if build_term:
             term = (
                 "spine",
-                tuple(recipes),
+                tuple(hop[8] for _p, _c, hop in spine),
                 tuple(contribs),
                 root,
                 output,
@@ -1717,41 +1654,56 @@ class StageDelayCalculator:
         return cached
 
     def _rise_via_pullup(
-        self, output: str, pulled_up: dict[str, float], adjacency: dict
+        self,
+        output: str,
+        pulled_up: dict[str, float],
+        adjacency: dict,
+        *,
+        terms: bool,
     ) -> ArcTiming | None:
         """Worst rise of ``output``: vdd -> load -> pass path -> output."""
         best: ArcTiming | None = None
         for node, r_load in pulled_up.items():
-            spine = self._spine_from_vdd(
-                node, r_load, f"load@{node}", output, adjacency
+            head = _head(
+                node, r_load, f"load@{node}", None, None, ("load", node)
             )
+            spine = self._spine_from_vdd(head, output, adjacency)
             if spine is None:
                 continue
             timing = self._timing_from_spine(
-                spine, output, adjacency=adjacency, transition=RISE
+                spine, output, adjacency, terms=terms
             )
-            # _worse keeps the incumbent on ties, exactly like the
-            # strict `>` comparison this replaces, and wraps the terms
-            # in a "max" node so corners re-decide the winner.
+            # _worse keeps the incumbent on ties and wraps the terms in
+            # a "max" node so corners re-decide the winner.
             best = timing if best is None else _worse(best, timing)
         return best
 
+    def _vdd_head(self, dev: Transistor, role: str) -> tuple:
+        """The head hop charging ``dev``'s other terminal from vdd through
+        ``dev`` in ``role`` (``"precharge"`` or a follower's ``"pullup"``)."""
+        node = dev.other_channel(self.netlist.vdd)
+        gate, group = self._device_fact_map()[dev.name][:2]
+        return _head(
+            node,
+            device_resistance(self.tech, dev, role, RISE),
+            dev.name,
+            gate,
+            group,
+            ("res", dev.name, role, RISE),
+        )
+
     def _spine_from_vdd(
-        self,
-        node: str,
-        r_head: float,
-        head: str,
-        output: str,
-        adjacency: dict,
-    ) -> list[tuple[str, str, float, str]] | None:
+        self, head: tuple, output: str, adjacency: dict
+    ) -> list[tuple[str, str, tuple]] | None:
         """The spine vdd -> ``node`` -> ``output`` of a charging arc.
 
-        The head edge charges ``node`` from vdd through ``r_head`` (a
-        precharge device, a follower, or the ``load@node`` pull-up
-        combine); the worst pass path of ``adjacency`` carries the
+        The ``head`` hop (:func:`_head`) charges its ``node`` from vdd
+        through a precharge device, a follower, or the ``load@node``
+        pull-up combine; the worst pass path of ``adjacency`` carries the
         charge on to ``output``.  ``None`` when no such path exists.
         """
-        spine = [(self.netlist.vdd, node, r_head, head)]
+        node = head[0]
+        spine = [(self.netlist.vdd, node, head)]
         if output != node:
             best, _truncated = self._worst_paths(output, {node}, adjacency)
             if None not in best:
@@ -1775,16 +1727,29 @@ class StageDelayCalculator:
         return dev.source
 
 
-def _spine_of(
-    path: list[tuple[str, tuple]],
-) -> list[tuple[str, str, float, str]]:
+def _spine_of(path: list[tuple[str, tuple]]) -> list[tuple[str, str, tuple]]:
     """A :meth:`~StageDelayCalculator._worst_paths` path, as a spine.
 
     The search walks back from the measured output to the driving point;
-    a spine runs the other way, as ``(parent, child, r, device)`` edges
-    from its root.
+    a spine runs the other way, as ``(parent, child, hop)`` edges from its
+    root, each with the adjacency hop that reached ``parent`` from
+    ``child``.
     """
-    return [(hop[0], node, hop[1], hop[2]) for node, hop in reversed(path)]
+    return [(hop[0], node, hop) for node, hop in reversed(path)]
+
+
+def _head(node, r, name, gate, group, atom) -> tuple:
+    """A hop charging ``node`` from vdd: the head of a charging spine.
+
+    No search walks it, so its flow and boundary fields are constants.
+    """
+    return (node, r, name, gate, group, True, True, False, atom)
+
+
+def _lacks_terms(arcs: list[StageArc]) -> bool:
+    """True if a stage's arcs were extracted without terms (every arc has
+    a timing, and a stage's timings all carry terms or none does)."""
+    return bool(arcs) and (arcs[0].rise or arcs[0].fall).term is None
 
 
 def _derate(r_up: float | None, r_down: float) -> float:

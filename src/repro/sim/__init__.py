@@ -14,12 +14,16 @@ Public surface:
 * :class:`RSim` -- event-driven switch-level simulator with RC-derived
   event delays (the RSIM-class middle ground)
 * :func:`mos_current`, :func:`threshold` -- level-1 device equations
+
+The numpy-backed names (the transient simulator, its measurements and
+waveforms) load on first use, so the static analyzer, which reaches
+this package through the switch-level simulator, never imports numpy.
 """
 
+import importlib
+
 from .devices import mos_current, threshold
-from .measure import DelayMeasurement, measure_step_delay
 from .rsim import Event, RSim
-from .spicelite import SpiceLite, TransientOptions
 from .stimuli import (
     Stimulus,
     constant,
@@ -30,7 +34,26 @@ from .stimuli import (
 )
 from .switchsim import SwitchSim, X
 from .vectors import DeckResult, Failure, VectorCommand, parse_deck, run_deck
-from .waveforms import Waveform
+
+#: Public name -> the submodule defining it, imported on first access.
+_NUMPY_BACKED = {
+    "SpiceLite": "spicelite",
+    "TransientOptions": "spicelite",
+    "DelayMeasurement": "measure",
+    "measure_step_delay": "measure",
+    "Waveform": "waveforms",
+}
+
+
+def __getattr__(name: str):
+    """Import a numpy-backed public name on first access."""
+    module = _NUMPY_BACKED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "SpiceLite",

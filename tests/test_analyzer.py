@@ -1,7 +1,13 @@
 """Tests for the TimingAnalyzer facade and path extraction (repro.core)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import repro
 from repro import (
     ElectricalRuleError,
     Netlist,
@@ -180,6 +186,33 @@ class TestTwoPhase:
         result = TimingAnalyzer(dp).analyze()
         # A 4um nMOS datapath runs at a handful of MHz.
         assert 30e-9 < result.min_cycle < 2000e-9
+
+    def test_analysis_imports_no_numpy(self):
+        # The qualified-clock derivation runs the switch-level simulator
+        # from repro.sim; only that package's transient simulator needs
+        # numpy, which a fresh process must then never load.
+        code = textwrap.dedent("""
+            import sys
+            from repro import TimingAnalyzer, corner_scenarios
+            from repro.circuits import mips_like_datapath
+            from repro.netlist import sim_dumps, sim_loads
+
+            net = sim_loads(sim_dumps(mips_like_datapath(4, 2)[0]))
+            tv = TimingAnalyzer(net)
+            assert tv.analyze().mode == "two-phase"
+            tv.analyze_mcmm(corner_scenarios(net.tech))
+            assert "numpy" not in sys.modules, "numpy was imported"
+        """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestPathExtraction:

@@ -15,19 +15,26 @@ timings and the select arcs built from it are checked against a
 list-then-scan enumeration of every path, kept below as the reference.
 """
 
+import json
 import multiprocessing
 
 import pytest
 
 from repro import Netlist, TimingAnalyzer
 from repro.bench.perf import parity_circuits
-from repro.circuits import barrel_shifter, mips_like_datapath, ripple_adder
+from repro.circuits import (
+    barrel_shifter,
+    mips_like_datapath,
+    random_logic,
+    ripple_adder,
+)
 from repro.core.constraints import qualified_low_nodes
 from repro.core.mcmm import CORNER_NAMES, corner_scenarios
-from repro.delay import StageArc, StageContext
+from repro.delay import StageArc, StageContext, StageDelayCalculator
 from repro.delay.effective_res import FALL, RISE
 from repro.delay.stage_delay import _BY_GATE, _mark_truncated
-from repro.netlist import DeviceKind, FlowDirection
+from repro.netlist import DeviceKind, FlowDirection, sim_dumps, sim_loads
+from repro.serve import DesignSession
 from repro.trace import Trace
 
 CLOCKED = [
@@ -139,7 +146,16 @@ class TestCrossSweepParity:
             for sweep in _sweeps(tv)
             for index, cut in _cut_sets(calc, *sweep).items()
         }
-        assert set(calc._parametric_source._arc_cache) == expected
+        # The host is the corners' term source: its one cache holds the
+        # term-carrying lists.
+        assert set(calc._arc_cache) == expected
+        assert all(
+            timing.term is not None
+            for arcs in calc._arc_cache.values()
+            for arc in arcs
+            for timing in (arc.rise, arc.fall)
+            if timing is not None
+        )
         for corner in CORNER_NAMES:
             sibling = mcmm._analyzers[corner].calculator
             assert set(sibling._arc_cache) == expected
@@ -169,6 +185,76 @@ class TestCrossSweepParity:
         assert {cut for _index, cut in calc._arc_cache} == {frozenset()}
 
 
+def _keys(tv) -> set[tuple[int, frozenset[str]]]:
+    """Every (stage index, cut set) key the analysis's sweeps give."""
+    calc = tv.calculator
+    sweeps = _sweeps(tv) if tv.clock is not None else [(None, frozenset())]
+    return {
+        (index, cut)
+        for sweep in sweeps
+        for index, cut in _cut_sets(calc, *sweep).items()
+    }
+
+
+class TestOneCache:
+    """Concrete callers and corners share the host calculator's one arc
+    list per (stage, cut set) key."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_logic(120, seed=3),
+            lambda: mips_like_datapath(4, 2, n_shifts=2)[0],
+        ],
+        ids=["combinational", "two-phase"],
+    )
+    def test_corner_request_then_delta_matches_fresh(self, make):
+        sim_text = sim_dumps(make())
+        session = DesignSession("design", sim_text)
+        tv = session.analyzer
+        session.analyze()
+        session.analyze(corner="slow")
+        # The corner's terms replaced the concrete lists in place.
+        cache = tv.calculator._arc_cache
+        assert set(cache) == _keys(tv)
+        assert all(
+            timing.term is not None
+            for arcs in cache.values()
+            for arc in arcs
+            for timing in (arc.rise, arc.fall)
+            if timing is not None
+        )
+        device = sorted(session.netlist.devices)[0]
+        width = session.netlist.device(device).w * 1.2
+        payload, cached, _epoch, _dedup = session.delta(
+            [{"device": device, "w": width}]
+        )
+        assert not cached
+        net = sim_loads(sim_text, name="design")
+        net.device(device).w = width
+        assert payload == json.dumps(TimingAnalyzer(net).analyze().to_json())
+        assert set(cache) == _keys(tv)
+
+    def test_corners_extract_each_key_once_at_the_host_tech(
+        self, monkeypatch
+    ):
+        extracted = []
+        gate_arcs = StageDelayCalculator._gate_arcs
+
+        def recording(calc, ctx):
+            extracted.append((calc.tech, ctx.stage.index, ctx.cut))
+            return gate_arcs(calc, ctx)
+
+        monkeypatch.setattr(StageDelayCalculator, "_gate_arcs", recording)
+        net = mips_like_datapath(4, 2, n_shifts=2)[0]
+        tv = TimingAnalyzer(net)
+        tv.analyze_mcmm(corner_scenarios(net.tech))
+        assert {tech for tech, *_key in extracted} == {net.tech}
+        keys = [tuple(key) for _tech, *key in extracted]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == _keys(tv)
+
+
 # ----------------------------------------------------------------------
 # The reference: every simple path to a target materialised, then each
 # path rescanned for its gates.  A discharge may run against the inferred
@@ -194,19 +280,11 @@ def _reference_enumerate_paths(calc, start, targets, adjacency, flow=False):
         if node in targets:
             paths.append((list(path), r_sum))
             return
-        for (
-            neighbor,
-            r,
-            name,
-            gate,
-            group,
-            in_ok,
-            _out_ok,
-            neighbor_boundary,
-        ) in adjacency.get(node, ()):
+        for hop in adjacency.get(node, ()):
+            neighbor, r, _name, gate, group, in_ok, _out_ok, boundary, _ = hop
             if neighbor in visited:
                 continue
-            if neighbor_boundary and neighbor not in targets:
+            if boundary and neighbor not in targets:
                 continue
             if flow and not in_ok:
                 continue
@@ -220,7 +298,7 @@ def _reference_enumerate_paths(calc, start, targets, adjacency, flow=False):
             else:
                 fresh_group = False
             visited.add(neighbor)
-            path.append((node, neighbor, r, name))
+            path.append((node, neighbor, hop))
             dfs(neighbor, r_sum + r)
             path.pop()
             visited.discard(neighbor)
@@ -233,19 +311,18 @@ def _reference_enumerate_paths(calc, start, targets, adjacency, flow=False):
     return paths, truncated
 
 
-def _reference_timing(
-    calc, path_edges, output, adjacency, transition, truncated
-):
-    spine = [(b, a, r, name) for (a, b, r, name) in reversed(path_edges)]
-    timing = calc._timing_from_spine(
-        spine, output, adjacency=adjacency, transition=transition
-    )
+def _reference_timing(calc, path_edges, output, adjacency, truncated, terms):
+    """Time a reference path: its ``(node, neighbor, hop)`` edges run from
+    the output back to the driving point; the spine runs the other way,
+    as ``(parent, child, hop)``."""
+    spine = [(b, a, hop) for (a, b, hop) in reversed(path_edges)]
+    timing = calc._timing_from_spine(spine, output, adjacency, terms=terms)
     if truncated and not timing.truncated:
         timing = _mark_truncated(timing)
     return timing
 
 
-def _reference_worst_fall_by_gate(calc, ctx, output, adjacency):
+def _reference_worst_fall_by_gate(calc, ctx, output, adjacency, terms):
     found = _reference_enumerate_paths(
         calc, output, {calc.netlist.gnd}, adjacency
     )
@@ -255,13 +332,13 @@ def _reference_worst_fall_by_gate(calc, ctx, output, adjacency):
     gate_of = {dev.name: dev.gate for dev in ctx.devices}
     best = {}
     for path_edges, r_sum in paths:
-        gates = {gate_of[name] for _a, _b, _r, name in path_edges}
+        gates = {gate_of[hop[2]] for _a, _b, hop in path_edges}
         for gate in gates:
             if gate not in best or r_sum > best[gate][0]:
                 best[gate] = (r_sum, path_edges)
     return {
         gate: _reference_timing(
-            calc, path_edges, output, adjacency, FALL, truncated
+            calc, path_edges, output, adjacency, truncated, terms
         )
         for gate, (_r, path_edges) in best.items()
     }
@@ -308,14 +385,14 @@ def _reference_select_arcs(calc, ctx):
                 through = [
                     (r_sum, edges)
                     for edges, r_sum in paths
-                    if any(edge[3] in names for edge in edges)
+                    if any(hop[2] in names for _a, _b, hop in edges)
                 ]
                 if not through:
                     continue
                 r_max = max(r_sum for r_sum, _edges in through)
                 edges = next(e for r_sum, e in through if r_sum == r_max)
                 timings[trigger, output, transition] = _reference_timing(
-                    calc, edges, output, adjacency, transition, truncated
+                    calc, edges, output, adjacency, truncated, ctx.terms
                 )
     arcs = []
     for trigger in gated:
@@ -406,7 +483,7 @@ SELECT_CIRCUITS = [
 ]
 
 
-def _contexts(tv) -> list[StageContext]:
+def _contexts(tv, terms=False) -> list[StageContext]:
     """A context for every (stage, cut set) the analysis's sweeps give."""
     calc = tv.calculator
     sweeps = _sweeps(tv) if tv.clock is not None else [(None, frozenset())]
@@ -417,7 +494,7 @@ def _contexts(tv) -> list[StageContext]:
         for cut in [_cut_sets(calc, *sweep)[stage.index]]
     }
     return [
-        StageContext(calc, calc.graph[index], cut)
+        StageContext(calc, calc.graph[index], cut, terms)
         for index, cut in sorted(contexts, key=lambda c: (c[0], sorted(c[1])))
     ]
 
@@ -436,7 +513,6 @@ class TestFusedDischargeWalk:
     ):
         tv = TimingAnalyzer(make(), run_erc=False)
         calc = tv.calculator
-        calc.parametric = parametric
         compared = truncated = 0
         for ctx in _contexts(tv):
             index = ctx.stage.index
@@ -456,14 +532,19 @@ class TestFusedDischargeWalk:
                 for max_paths in {1, 3, 64, 4096, *exact} - {0}:
                     calc.max_paths = max_paths
                     ours = calc._worst_timings(
-                        output, gnd, adjacency, FALL, _BY_GATE, gates
+                        output, gnd, adjacency, _BY_GATE, gates,
+                        terms=parametric,
                     )
                     reference = _reference_worst_fall_by_gate(
-                        calc, ctx, output, adjacency
+                        calc, ctx, output, adjacency, parametric
                     )
                     assert ours == reference, (
                         f"{name}: stage {index} output {output!r} "
                         f"max_paths={max_paths}"
+                    )
+                    assert all(
+                        (timing.term is not None) == parametric
+                        for timing in ours.values()
                     )
                     compared += len(ours)
                     truncated += sum(t.truncated for t in ours.values())
@@ -485,7 +566,6 @@ class TestSelectArcSearch:
     ):
         tv = TimingAnalyzer(make(), run_erc=False)
         calc = tv.calculator
-        calc.parametric = parametric
         searched = []
         search = calc._worst_paths
 
@@ -495,7 +575,7 @@ class TestSelectArcSearch:
 
         calc._worst_paths = counting
         compared = truncated = 0
-        for ctx in _contexts(tv):
+        for ctx in _contexts(tv, parametric):
             outputs = ctx.stage.outputs
             gated, targets = _select_triggers(calc, ctx)
             # One search per output and transition serves every trigger.
@@ -520,6 +600,12 @@ class TestSelectArcSearch:
                     f"{name}: stage {ctx.stage.index} max_paths={max_paths}"
                 )
                 assert sorted(searched) == searches
+                assert all(
+                    (timing.term is not None) == parametric
+                    for arc in ours
+                    for timing in (arc.rise, arc.fall)
+                    if timing is not None
+                )
                 compared += len(ours)
                 truncated += sum(
                     timing.truncated

@@ -448,17 +448,36 @@ class TestCornerBatch:
 
     @pytest.mark.parametrize("corners", [1, 3, 5])
     def test_one_pass_and_one_build_per_sweep(self, corners):
-        net = _zoo("mips_like_datapath")()
-        scenarios = [
-            Scenario(name=f"c{i}", tech=net.tech.corner(CORNER_NAMES[i % 3]))
-            for i in range(corners)
-        ]
-        trace = Trace()
-        TimingAnalyzer(net, trace=trace).analyze_mcmm(scenarios)
+        def run(net):
+            scenarios = [
+                Scenario(
+                    name=f"c{i}", tech=net.tech.corner(CORNER_NAMES[i % 3])
+                )
+                for i in range(corners)
+            ]
+            trace = Trace()
+            TimingAnalyzer(net, trace=trace).analyze_mcmm(scenarios)
+            return trace.counters
+
+        counters = run(_zoo("mips_like_datapath")())
         # phi1, phi2 and the all-transparent overlap sweep.
-        assert trace.counters["term_eval_passes"] == 3
-        assert trace.counters["graph_builds"] == 3
-        assert trace.counters["parametric_stage_evals"] == 188 * corners
+        assert counters["term_eval_passes"] == 3
+        assert counters["graph_builds"] == 3
+        assert counters["parametric_stage_evals"] == 188 * corners
+        # A combinational design has one sweep, whose graph the corners
+        # share as well.
+        counters = run(ripple_adder(4))
+        assert counters["term_eval_passes"] == 1
+        assert counters["graph_builds"] == 1
+
+    def test_combinational_sensitivity_builds_two_graphs(self):
+        # The nominal analysis builds one; the sweep over every
+        # perturbed parameter shares one more.
+        trace = Trace()
+        tv = TimingAnalyzer(ripple_adder(4), trace=trace)
+        explanation = tv.explain("cout", sensitivity=True)
+        assert explanation.sensitivities
+        assert trace.counters["graph_builds"] == 2
 
     def test_no_result_keeps_a_graph(self):
         # Later corners swap their arcs into the graphs earlier corners

@@ -25,7 +25,6 @@ from repro.delay.parametric import (
     PARAMETERS,
     SENSITIVITY_REL_STEP,
     evaluate_arcs,
-    evaluate_timing,
     perturbed,
 )
 from repro.errors import ReproError
@@ -142,38 +141,31 @@ class TestCornerSweepUsesTerms:
 
 
 class TestEvaluatorSurface:
-    def test_evaluate_timing_requires_a_term(self):
-        tv = TimingAnalyzer(inverter_chain(3))
-        calc = tv.calculator
-        stage = tv.stage_graph[0]
-        arcs = calc.arcs(stage, None, frozenset())
-        concrete = next(
-            t for arc in arcs for t in (arc.rise, arc.fall) if t is not None
-        )
-        assert concrete.term is None
-        with pytest.raises(ValueError, match="no parametric term"):
-            evaluate_timing(calc, stage, concrete)
-
     def test_evaluate_arcs_rejects_concrete_input(self):
         tv = TimingAnalyzer(inverter_chain(3))
         calc = tv.calculator
         stage = tv.stage_graph[0]
         arcs = calc.arcs(stage, None, frozenset())
+        assert all(
+            t.term is None for arc in arcs for t in (arc.rise, arc.fall)
+            if t is not None
+        )
         with pytest.raises(ValueError, match="no parametric term"):
-            evaluate_arcs(calc, stage, arcs)
+            evaluate_arcs(calc, arcs)
 
     def test_symbolic_source_carries_terms(self):
+        # Extraction with terms=True is the symbolic source: its timings
+        # carry terms that evaluate back to its own floats.
         for model in DELAY_MODELS:
             tv = TimingAnalyzer(inverter_chain(3), model=model)
-            source = tv.calculator.parametric_source()
             stage = tv.stage_graph[0]
-            arcs = source.arcs(stage, None, frozenset())
+            arcs = tv.calculator.arcs(stage, None, frozenset(), terms=True)
             timings = [
                 t for arc in arcs for t in (arc.rise, arc.fall)
                 if t is not None
             ]
             assert timings and all(t.term is not None for t in timings)
-            evaluated = evaluate_arcs(tv.calculator, stage, arcs)
+            evaluated = evaluate_arcs(tv.calculator, arcs)
             assert [
                 (t.delay, t.tau)
                 for arc in evaluated
