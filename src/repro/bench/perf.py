@@ -41,6 +41,13 @@ single repetition, skips the MIPS point and the speedup gates, but
 parallel parity sweep -- so a pool regression fails a PR in seconds
 instead of only in the full gate.
 
+Both modes also run one traced analysis of the benchmark datapath,
+``mips_like_datapath(16, 8, n_shifts=4)`` read back from ``.sim`` (so
+without its one-hot groups), and gate two work counters exactly
+(:data:`SEARCH_MEMO`): its shifter's 16 discharge searches each hit
+the path cap, and the search memo serves 15 of them from the first.
+Counts, unlike times, do not move with host load.
+
 It also proves the parallel path is *safe* to keep enabled: every circuit
 generator in :mod:`repro.circuits` is analyzed serially and with the worker
 pool, and the two text reports must be byte-identical.  The pooled runs
@@ -103,6 +110,7 @@ from ..core import TimingAnalyzer, atomic_write_json
 from ..core.arrival import propagate
 from ..core.graph import TimingGraph
 from ..delay import FALL, RISE, shutdown_pool
+from ..netlist import sim_dumps, sim_loads
 from ..trace import Trace
 from .harness import REPO_ROOT, best_of, environment, speed_gate
 
@@ -167,6 +175,20 @@ def _bench_mips(repeat: int, workers: int) -> dict:
         "extract_speedup_parallel_vs_serial": extract_s / warm_s,
         "extract_devices_per_s": devices / extract_s,
     }
+
+
+#: Trace counters of one analysis of the benchmark datapath through
+#: ``.sim``, gated exactly: capped path searches (memo hits included),
+#: and those the search memo served.
+SEARCH_MEMO = {"capped_searches": 16, "search_memo_hits": 15}
+
+
+def _search_memo() -> dict:
+    """The :data:`SEARCH_MEMO` counters of one traced, serial analysis."""
+    net = sim_loads(sim_dumps(mips_like_datapath(16, 8, n_shifts=4)[0]))
+    trace = Trace(logger=None)
+    TimingAnalyzer(net, trace=trace).analyze()
+    return {name: trace.counters.get(name, 0) for name in SEARCH_MEMO}
 
 
 def _bench_size(size: int, repeat: int, workers: int) -> dict:
@@ -413,6 +435,13 @@ def run(
                 f"{env['affinity_cpus']} CPUs"
             )
 
+    search_memo = _search_memo()
+    if search_memo != SEARCH_MEMO:
+        failures.append(
+            f"benchmark datapath through .sim: path-search counters "
+            f"{search_memo}, expected exactly {SEARCH_MEMO}"
+        )
+
     parity, supervision = check_parity(workers)
     mismatched = [row["circuit"] for row in parity if not row["identical"]]
     if mismatched:
@@ -445,6 +474,7 @@ def run(
             "counters": supervision,
             "fault_hooks_installed": False,
         },
+        "search_memo": {"counters": search_memo, "expected": SEARCH_MEMO},
         "regressions": failures,
         "pass": not failures,
     }

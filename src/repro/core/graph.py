@@ -122,7 +122,15 @@ class TimingGraph:
             return None
         changed = list(compress(range(len(arcs)), map(is_not, arcs, old)))
         for k in changed:
-            if _signature(arcs[k]) != _signature(old[k]):
+            arc, was = arcs[k], old[k]
+            if (
+                arc.trigger != was.trigger
+                or arc.output != was.output
+                or arc.inverting != was.inverting
+                or arc.via != was.via
+                or (arc.rise is None) != (was.rise is None)
+                or (arc.fall is None) != (was.fall is None)
+            ):
                 return None
         slots = self._slot_index()
         if slots is None:
@@ -226,18 +234,6 @@ def sweep_graph(
     if batch is not None:
         batch.graphs[sweep] = graph
     return graph, None
-
-
-def _signature(arc: StageArc) -> tuple:
-    """What the graph structure and the arrival set depend on."""
-    return (
-        arc.trigger,
-        arc.output,
-        arc.inverting,
-        arc.via,
-        arc.rise is None,
-        arc.fall is None,
-    )
 
 
 def _feedback_edges(

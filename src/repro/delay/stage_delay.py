@@ -55,6 +55,17 @@ set)``.  A stage whose cut set repeats across sweeps -- most stages of a
 two-phase design cut nothing in its phi1, phi2 and all-transparent
 sweeps alike -- is extracted once.
 
+A capped path search is the costliest search, and renamed copies of one
+structure repeat it: read from an annotation-free ``.sim``, each of the
+16 outputs of the benchmark datapath's barrel shifter walks 4,096 paths.
+So an adjacency map remembers each search on it that hits the cap,
+under the search's rooted shape (:func:`_rooted_shape`), and serves a
+later search of equal shape from that memo
+(:meth:`StageDelayCalculator._worst_paths`).  The shape holds everything
+the depth-first walk reads, up to a renaming of nodes and keys, so a
+served result is exactly the one the walk would find.  A map no search
+has capped builds no shape, and the memo dies with its context.
+
 Extraction is organized around a per-stage :class:`StageContext` that
 computes the conduction edge lists (the pass network is their part off
 the rails) and their adjacency maps **once** per ``(stage, cut set)``
@@ -162,6 +173,18 @@ class StageArc:
     def timing(self, transition: str) -> ArcTiming | None:
         """The arc timing for ``"rise"`` or ``"fall"`` (None if absent)."""
         return self.rise if transition == RISE else self.fall
+
+
+class _Adjacency(dict):
+    """A :meth:`StageDelayCalculator._build_adjacency` map, node -> hops.
+
+    ``memo`` stays None until a path search on the map hits
+    ``max_paths``, and then holds each capped search's result
+    (:meth:`StageDelayCalculator._worst_paths`).  It dies with the map,
+    so with its :class:`StageContext`.
+    """
+
+    memo: dict | None = None
 
 
 class StageContext:
@@ -292,7 +315,9 @@ class StageDelayCalculator:
         Optional :class:`repro.trace.Trace` receiving the supervision
         counters (``extract_retries``, ``extract_timeouts``,
         ``extract_corrupt_results``, ``extract_fallback_stages``,
-        ``extract_pool_failures``).
+        ``extract_pool_failures``) and the path-search counters
+        ``capped_searches`` and ``search_memo_hits`` (see
+        :meth:`_worst_paths`).
     on_error:
         Error policy (:data:`repro.robust.ERROR_POLICIES`).  Under
         ``strict`` (default) a stage whose extraction fails raises; under
@@ -1308,7 +1333,7 @@ class StageDelayCalculator:
         edges: list[tuple[str, str, float, str, tuple]],
         *,
         backward_flow: bool = True,
-    ) -> dict[str, list[tuple]]:
+    ) -> _Adjacency:
         """Adjacency map with per-hop device facts pre-resolved.
 
         Each directed hop ``node -> neighbor`` is a 9-tuple
@@ -1328,7 +1353,7 @@ class StageDelayCalculator:
         device is walked drain-first).
         """
         facts = self._device_fact_map()
-        adjacency: dict[str, list[tuple]] = {}
+        adjacency = _Adjacency()
         for a, b, r, name, atom in edges:
             gate, group, source, out_s, out_d, s_bnd, d_bnd = facts[name]
             if a == source:
@@ -1351,21 +1376,21 @@ class StageDelayCalculator:
         self,
         start: str,
         targets: set[str],
-        adjacency: dict,
+        adjacency: _Adjacency,
         key: int | None = None,
         wanted=(None,),
     ) -> tuple[dict, bool]:
         """First maximum-resistance paths from ``start`` to the targets.
 
-        One depth-first walk, in adjacency order, over the simple paths
-        of ``adjacency`` (a :meth:`_build_adjacency` map).  It walks
-        *backward* from the measured output toward the driving point, so
-        a hop from ``node`` to ``neighbor`` needs ``in_ok``: in the pass
-        network the device conducts signal ``neighbor -> node``, which
-        prevents paths that snake against the inferred signal flow (a
-        discharge may run either way, see
-        :meth:`StageContext.conduction_adjacency`).  It enters no boundary
-        node but a target, and one-hot assertions
+        One depth-first walk (:func:`_enumerate_paths`), in adjacency
+        order, over the simple paths of ``adjacency`` (a
+        :meth:`_build_adjacency` map).  It walks *backward* from the
+        measured output toward the driving point, so a hop from ``node``
+        to ``neighbor`` needs ``in_ok``: in the pass network the device
+        conducts signal ``neighbor -> node``, which prevents paths that
+        snake against the inferred signal flow (a discharge may run
+        either way, see :meth:`StageContext.conduction_adjacency`).  It
+        enters no boundary node but a target, and one-hot assertions
         (:meth:`Netlist.add_exclusive_group`) prune paths that would need
         two mutually exclusive switches closed.
 
@@ -1376,65 +1401,42 @@ class StageDelayCalculator:
         ``truncated``.  Returns ``(best, truncated)``, ``best`` mapping each
         key with a path to ``(resistance, path)``, the path a list of
         ``(node, hop)`` from ``start`` toward the target.
+
+        A search that hits the cap is kept in the map's ``memo`` under
+        its key kind, ``max_paths`` and rooted shape
+        (:func:`_rooted_shape`); from then on each search on the map
+        looks its own up first.  Equal keys walk the same tree up to a
+        renaming, so a hit (:func:`_recall`) gives this search's own
+        keys, in the same order, with the same resistances, hops, path
+        sharing and ``truncated``.  The trace counts ``capped_searches``,
+        memo hits included, and ``search_memo_hits``.
         """
-        best: dict = {}
         if start not in adjacency:
-            return best, False
+            return {}, False
         max_paths = self.max_paths
-        path: list[tuple[str, tuple]] = []
-        visited = {start}
-        groups_used: dict[int, str] = {}
-        # The keys on the current path, in path order; the worst path
-        # overall is kept under None, which is on every path.
-        on_path: dict = {None: None} if key is None else {}
-        found = 0
-        truncated = False
-
-        def dfs(node: str, r_sum: float) -> None:
-            nonlocal found, truncated
-            if found >= max_paths:
-                truncated = True
-                return
-            if node in targets:
-                found += 1
-                copied = None
-                for k in on_path:
-                    incumbent = best.get(k)
-                    if incumbent is None or r_sum > incumbent[0]:
-                        if copied is None:
-                            copied = list(path)
-                        best[k] = (r_sum, copied)
-                return
-            for hop in adjacency.get(node, ()):
-                neighbor, r, _name, gate, group, in_ok, _out, boundary, _ = hop
-                if neighbor in visited or not in_ok:
-                    continue
-                if boundary and neighbor not in targets:
-                    continue
-                if group is not None:
-                    used = groups_used.get(group)
-                    if used is not None and used != gate:
-                        continue
-                    fresh_group = used is None
-                    if fresh_group:
-                        groups_used[group] = gate
-                else:
-                    fresh_group = False
-                k = None if key is None else hop[key]
-                fresh_key = k not in on_path and k in wanted
-                if fresh_key:
-                    on_path[k] = None
-                visited.add(neighbor)
-                path.append((node, hop))
-                dfs(neighbor, r_sum + r)
-                path.pop()
-                visited.discard(neighbor)
-                if fresh_group:
-                    del groups_used[group]
-                if fresh_key:
-                    del on_path[k]
-
-        dfs(start, 0.0)
+        memo = adjacency.memo
+        if memo is not None:
+            shape, nodes, keys = _rooted_shape(
+                start, targets, adjacency, key, wanted
+            )
+            entry = memo.get((key, max_paths, shape))
+            if entry is not None:
+                self.trace.incr("capped_searches")
+                self.trace.incr("search_memo_hits")
+                return _recall(entry, nodes, keys, adjacency), True
+        best, truncated = _enumerate_paths(
+            start, targets, adjacency, key, wanted, max_paths
+        )
+        if truncated:
+            self.trace.incr("capped_searches")
+            if memo is None:
+                memo = adjacency.memo = {}
+                shape, nodes, keys = _rooted_shape(
+                    start, targets, adjacency, key, wanted
+                )
+            memo[key, max_paths, shape] = _memo_entry(
+                best, nodes, keys, adjacency
+            )
         return best, truncated
 
     def _worst_timings(
@@ -1736,6 +1738,168 @@ def _spine_of(path: list[tuple[str, tuple]]) -> list[tuple[str, str, tuple]]:
     ``child``.
     """
     return [(hop[0], node, hop) for node, hop in reversed(path)]
+
+
+def _enumerate_paths(
+    start: str,
+    targets: set[str],
+    adjacency: dict,
+    key: int | None,
+    wanted,
+    max_paths: int,
+) -> tuple[dict, bool]:
+    """The depth-first walk of :meth:`StageDelayCalculator._worst_paths`,
+    without its memo."""
+    best: dict = {}
+    path: list[tuple[str, tuple]] = []
+    visited = {start}
+    groups_used: dict[int, str] = {}
+    # The keys on the current path, in path order; the worst path
+    # overall is kept under None, which is on every path.
+    on_path: dict = {None: None} if key is None else {}
+    found = 0
+    truncated = False
+
+    def dfs(node: str, r_sum: float) -> None:
+        nonlocal found, truncated
+        if found >= max_paths:
+            truncated = True
+            return
+        if node in targets:
+            found += 1
+            copied = None
+            for k in on_path:
+                incumbent = best.get(k)
+                if incumbent is None or r_sum > incumbent[0]:
+                    if copied is None:
+                        copied = list(path)
+                    best[k] = (r_sum, copied)
+            return
+        for hop in adjacency.get(node, ()):
+            neighbor, r, _name, gate, group, in_ok, _out, boundary, _ = hop
+            if neighbor in visited or not in_ok:
+                continue
+            if boundary and neighbor not in targets:
+                continue
+            if group is not None:
+                used = groups_used.get(group)
+                if used is not None and used != gate:
+                    continue
+                fresh_group = used is None
+                if fresh_group:
+                    groups_used[group] = gate
+            else:
+                fresh_group = False
+            k = None if key is None else hop[key]
+            fresh_key = k not in on_path and k in wanted
+            if fresh_key:
+                on_path[k] = None
+            visited.add(neighbor)
+            path.append((node, hop))
+            dfs(neighbor, r_sum + r)
+            path.pop()
+            visited.discard(neighbor)
+            if fresh_group:
+                del groups_used[group]
+            if fresh_key:
+                del on_path[k]
+
+    dfs(start, 0.0)
+    # ``dfs`` refers to itself through its closure; dropping the name
+    # frees the walk's state now instead of leaving a cycle for the
+    # collector.
+    del dfs
+    return best, truncated
+
+
+def _rooted_shape(
+    start: str,
+    targets: set[str],
+    adjacency: dict,
+    key: int | None,
+    wanted,
+) -> tuple[tuple, dict, dict]:
+    """Everything a :func:`_enumerate_paths` walk from ``start`` reads,
+    up to a renaming of nodes, keys, groups and gates.
+
+    A breadth-first walk in adjacency order numbers the nodes the search
+    can reach; like the search, it expands no target and keeps only the
+    hops the search may take (``in_ok``, and into no boundary but a
+    target).  The shape is whether ``start`` is a target, then one tuple
+    per expanded node of its kept hops, each ``(position in the node's
+    list, neighbour id, neighbour is a target, r, key id, one-hot
+    pattern)``.  The key id is -1 unless the hop's key is wanted, and
+    the one-hot pattern is ``(group id, gate id)`` or None; ids number
+    values in order of first appearance (a None-keyed search's hops all
+    carry its one key, None, id 0).
+
+    Returns ``(shape, nodes, keys)``: each reached node and each wanted
+    key mapped to its id, in id order.
+    """
+    nodes = {start: 0}
+    queue = [start]
+    keys: dict = {None: 0} if key is None else {}
+    groups: dict = {}
+    gates: dict = {}
+    shape: list = [start in targets]
+    for node in queue:  # grows as the walk numbers new nodes
+        if node in targets:
+            continue
+        kept = []
+        for position, hop in enumerate(adjacency.get(node, ())):
+            neighbor, r, _name, gate, group, in_ok, _out, boundary, _ = hop
+            if not in_ok:
+                continue
+            target = neighbor in targets
+            if boundary and not target:
+                continue
+            index = nodes.get(neighbor)
+            if index is None:
+                index = nodes[neighbor] = len(queue)
+                queue.append(neighbor)
+            k = None if key is None else hop[key]
+            key_id = keys.setdefault(k, len(keys)) if k in wanted else -1
+            pattern = None if group is None else (
+                groups.setdefault(group, len(groups)),
+                gates.setdefault(gate, len(gates)),
+            )
+            kept.append((position, index, target, r, key_id, pattern))
+        shape.append(tuple(kept))
+    return tuple(shape), nodes, keys
+
+
+def _memo_entry(best: dict, nodes: dict, keys: dict, adjacency: dict) -> tuple:
+    """A capped search's ``best`` in the local ids of its rooted shape.
+
+    ``(entries, paths)``: one ``(key id, resistance, path index)`` per
+    key in ``best``'s order, and each distinct path object once, as
+    ``(node id, hop position)`` pairs.
+    """
+    index_of: dict[int, int] = {}
+    paths = []
+    entries = []
+    for k, (r_sum, path) in best.items():
+        index = index_of.get(id(path))
+        if index is None:
+            index = index_of[id(path)] = len(paths)
+            paths.append(tuple(
+                (nodes[node], adjacency[node].index(hop)) for node, hop in path
+            ))
+        entries.append((keys[k], r_sum, index))
+    return tuple(entries), tuple(paths)
+
+
+def _recall(entry: tuple, nodes: dict, keys: dict, adjacency: dict) -> dict:
+    """A :func:`_memo_entry` read back as ``best`` onto a search's own
+    nodes, keys and hops: keys sharing a stored path share one list."""
+    entries, paths = entry
+    node_of = list(nodes)
+    key_of = list(keys)
+    rebuilt = [
+        [(node_of[i], adjacency[node_of[i]][position]) for i, position in path]
+        for path in paths
+    ]
+    return {key_of[k]: (r_sum, rebuilt[index]) for k, r_sum, index in entries}
 
 
 def _head(node, r, name, gate, group, atom) -> tuple:

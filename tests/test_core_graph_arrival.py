@@ -1,5 +1,7 @@
 """Tests for the timing graph and arrival propagation (repro.core)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import TimingGraph, propagate
@@ -205,10 +207,14 @@ class TestIncrementalSweep:
         arcs = self._arcs()
         graph = TimingGraph.build(arcs)
         before = (dict(graph.arcs_from), list(graph.cut_arcs))
+        # Each differs from arcs[1] in one field of the six update reads.
         for changed in (
+            arc("w", "y", inverting=True, stage=1),
             arc("x", "z", inverting=True, stage=1),
             arc("x", "y", inverting=False, stage=1),
+            replace(arcs[1], via="channel"),
             arc("x", "y", inverting=True, rise=None, stage=1),
+            arc("x", "y", inverting=True, fall=None, stage=1),
         ):
             edited = list(arcs)
             edited[1] = changed
